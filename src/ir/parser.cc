@@ -206,6 +206,14 @@ class Parser {
     g.name = name;
     g.address = module_.NextGlobalAddress();
     g.size_words = static_cast<uint64_t>(*size);
+    // Cap the size before anything is allocated for it: the global must end
+    // inside the global segment (the comparison cannot wrap).
+    if (g.address > kGlobalLimit ||
+        g.size_words > (kGlobalLimit - g.address) / kWordSize) {
+      return DataLoss(StrFormat("line %d: global '%s' does not fit the global "
+                                "segment",
+                                lineno, name.c_str()));
+    }
     std::string_view tok = lex.Next();
     if (tok == "=") {
       while (true) {
@@ -216,6 +224,10 @@ class Parser {
         auto val = ParseInt64(v);
         if (!val) {
           return DataLoss(StrFormat("line %d: bad global initializer", lineno));
+        }
+        if (g.init.size() == g.size_words) {
+          return DataLoss(StrFormat("line %d: more initializers than words",
+                                    lineno));
         }
         g.init.push_back(*val);
       }
@@ -324,7 +336,8 @@ class Parser {
     return out;
   }
 
-  void DeferBranch(Instruction* inst, int which, std::string_view label, int lineno) {
+  void DeferBranch(Instruction* /*inst*/, int which, std::string_view label,
+                   int lineno) {
     Function* fn = module_.mutable_function(current_func_);
     PendingBranch pb;
     pb.func = current_func_;

@@ -9,7 +9,7 @@ namespace res {
 
 Result<ReplayState> BuildReplayState(const Module& module, const Coredump& dump,
                                      const SynthesizedSuffix& suffix,
-                                     ExprPool* pool) {
+                                     ExprPool* /*pool*/) {
   if (!suffix.verified) {
     return FailedPrecondition("suffix is not solver-verified; no model to replay");
   }

@@ -514,7 +514,7 @@ ValueOrigin TrackRegisterOrigin(const Module& module, const SynthesizedSuffix& s
                                  before_index, nullptr);
 }
 
-std::optional<RootCause> DetectDeadlockCycle(const Module& module,
+std::optional<RootCause> DetectDeadlockCycle(const Module& /*module*/,
                                              const Coredump& dump) {
   if (dump.trap.kind != TrapKind::kDeadlock) {
     return std::nullopt;

@@ -2,7 +2,7 @@
 
 namespace res {
 
-SymSnapshot SymSnapshot::FromCoredump(const Module& module, const Coredump& dump,
+SymSnapshot SymSnapshot::FromCoredump(const Module& /*module*/, const Coredump& dump,
                                       ExprPool* pool) {
   SymSnapshot snap;
   snap.dump_ = &dump;

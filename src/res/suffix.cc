@@ -23,7 +23,7 @@ std::vector<const SuffixUnit*> SuffixChainUnits(const SuffixChainNode* head) {
   return units;
 }
 
-std::vector<ScheduleSlice> BuildSchedule(const Module& module, const Coredump& dump,
+std::vector<ScheduleSlice> BuildSchedule(const Module& /*module*/, const Coredump& dump,
                                          const SynthesizedSuffix& suffix) {
   std::vector<ScheduleSlice> slices;
   auto append = [&slices](uint32_t tid, uint64_t steps) {

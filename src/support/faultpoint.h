@@ -26,12 +26,12 @@
 // release builds.
 //
 // Determinism contract: an armed fault fires exactly once, on the Nth
-// matching hit. Hit ORDER across speculative engine lanes is
-// schedule-dependent, so plans that need schedule-independent outcomes
-// (the fault-sweep tests) arm nth=1 on a site the committed path is
-// guaranteed to execute: then every schedule fires the arm, the engine
-// records the identical Status, and the recovery output is byte-identical
-// at any thread count (see ResEngine::Run's finish-time fault check).
+// matching hit. Each engine run is single-threaded, so within one task the
+// hit order is fixed; the engine records the first Status it hits and
+// returns a constant kTaskFailed result (see ResEngine::Run's finish-time
+// fault check). Hits of one plan shared by concurrently running tasks
+// interleave, so plans meant to be schedule-independent scope each arm to
+// one task.
 #ifndef RES_SUPPORT_FAULTPOINT_H_
 #define RES_SUPPORT_FAULTPOINT_H_
 

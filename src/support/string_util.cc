@@ -90,15 +90,19 @@ std::optional<int64_t> ParseInt64(std::string_view text) {
     } else {
       return std::nullopt;
     }
-    uint64_t next = value * static_cast<uint64_t>(base) + static_cast<uint64_t>(digit);
-    if (next < value) {
-      return std::nullopt;  // overflow
+    const uint64_t ubase = static_cast<uint64_t>(base);
+    const uint64_t udigit = static_cast<uint64_t>(digit);
+    if (value > (std::numeric_limits<uint64_t>::max() - udigit) / ubase) {
+      return std::nullopt;  // value * base + digit would wrap
     }
-    value = next;
+    value = value * ubase + udigit;
   }
   if (negative) {
     if (value > (1ULL << 63)) {
       return std::nullopt;
+    }
+    if (value == (1ULL << 63)) {
+      return std::numeric_limits<int64_t>::min();  // negating it would overflow
     }
     return -static_cast<int64_t>(value);
   }

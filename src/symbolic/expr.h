@@ -146,7 +146,7 @@ class ExprPool {
   // re-intern to the same node — which is what makes constraints, check
   // cache entries, and learned clauses pointer-comparable across tasks.
   // Cross-run hits are counted in var_intern_hits() (scheduling-dependent
-  // under speculative parallel exploration; a reuse gauge, not an oracle).
+  // when engines run concurrently; a reuse gauge, not an oracle).
   const Expr* InternVar(const std::string& name, VarOrigin origin, uint64_t uid);
   const Expr* Binary(BinOp op, const Expr* a, const Expr* b);
   const Expr* Select(const Expr* cond, const Expr* if_true, const Expr* if_false);

@@ -1129,9 +1129,9 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
   // is an O(delta) commutative-hash update away) but for determinism: a
   // cached outcome is the *cold-canonical* verdict and model for the set,
   // which can differ from what this context's own (chain-ordered) state
-  // would compute, and whether the entry exists depends on which
-  // speculative task warmed the cache first — adopting it on a warm chain
-  // would make engine output depend on worker timing.
+  // would compute, and whether the entry exists depends on what ran
+  // before over the shared cache — adopting it on a warm chain would make
+  // engine output depend on that history.
   //
   // Determinism: cold checks absorb the *canonical* (DetExprLess-sorted,
   // deduped) vector, on hits and misses alike, so the context's binding /

@@ -274,11 +274,9 @@ class SolverContext {
 // lock the payload.
 //
 // Determinism protocol (see docs/ARCHITECTURE.md): only the engine's commit
-// thread publishes, in commit order, which makes the sequence numbering —
-// and therefore any query bounded by a published() snapshot taken on the
-// commit thread — a pure function of the committed prefix of the search.
-// Worker-side (speculative) queries are sound but advisory: any refutation
-// they find is re-derived deterministically by the commit-time screen.
+// loop publishes, in commit order, which makes the sequence numbering —
+// and therefore any query bounded by a published() snapshot — a pure
+// function of the committed prefix of the search.
 // Bounded learning: the store keeps at most `live_capacity` cores live.
 // Publishing past that bound evicts the live core with the fewest screen
 // hits (ties break toward the oldest seq) instead of refusing to learn —
@@ -510,7 +508,7 @@ class CheckCache {
     // (slicing can change which strategy finds the model first), so
     // entries never cross modes — otherwise a fixed-pipeline consumer
     // (EnumerateValues) could adopt a portfolio model, making its values
-    // depend on which speculative task warmed the cache first.
+    // depend on which earlier check warmed the cache first.
     bool portfolio = false;
     uint32_t epoch = 0;        // owning engine run
     uint64_t fingerprint = 0;  // solver options + seed

@@ -31,8 +31,8 @@
 //
 // Determinism contract: for a given submission order, the daemon's report
 // stream is byte-identical to a sequence of RunBatch calls over the same
-// per-module chunks at the same wave boundaries — at every (engine threads
-// × wave parallelism) combination, with or without eviction/reclaim. This
+// per-module chunks at the same wave boundaries — at every wave
+// parallelism, with or without eviction/reclaim. This
 // holds by construction: wave boundaries are pure functions of submission
 // order (a module's wave launches exactly when its K-th dump arrives;
 // partial waves flush only on Drain/Shutdown, earliest-first), each wave IS

@@ -38,7 +38,7 @@ class RandomInputProvider : public InputProvider {
   // Values are drawn uniformly from [lo, hi].
   RandomInputProvider(uint64_t seed, int64_t lo = 0, int64_t hi = 255)
       : rng_(seed), lo_(lo), hi_(hi) {}
-  int64_t Next(uint32_t thread, int64_t channel) override {
+  int64_t Next(uint32_t /*thread*/, int64_t /*channel*/) override {
     return rng_.NextInRange(lo_, hi_);
   }
 
@@ -58,7 +58,7 @@ class QueueInputProvider : public InputProvider {
       Push(channel, v);
     }
   }
-  int64_t Next(uint32_t thread, int64_t channel) override {
+  int64_t Next(uint32_t /*thread*/, int64_t channel) override {
     auto it = queues_.find(channel);
     if (it == queues_.end() || it->second.empty()) {
       return fallback_;
@@ -78,7 +78,7 @@ class QueueInputProvider : public InputProvider {
 class ReplayInputProvider : public InputProvider {
  public:
   void Push(uint32_t thread, int64_t value) { queues_[thread].push_back(value); }
-  int64_t Next(uint32_t thread, int64_t channel) override {
+  int64_t Next(uint32_t thread, int64_t /*channel*/) override {
     auto it = queues_.find(thread);
     if (it == queues_.end() || it->second.empty()) {
       ran_dry_ = true;

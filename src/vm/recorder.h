@@ -38,10 +38,11 @@ struct InputRecord {
 class Recorder {
  public:
   virtual ~Recorder() = default;
-  virtual void OnMemoryOp(uint32_t thread, uint64_t addr, int64_t value,
-                          bool is_write) {}
-  virtual void OnInput(uint32_t thread, int64_t channel, int64_t value) {}
-  virtual void OnSchedule(uint32_t thread) {}
+  virtual void OnMemoryOp(uint32_t /*thread*/, uint64_t /*addr*/,
+                          int64_t /*value*/, bool /*is_write*/) {}
+  virtual void OnInput(uint32_t /*thread*/, int64_t /*channel*/,
+                       int64_t /*value*/) {}
+  virtual void OnSchedule(uint32_t /*thread*/) {}
   virtual size_t LogBytes() const = 0;
 };
 

@@ -43,7 +43,7 @@ class Scheduler {
   virtual uint32_t Pick(const std::vector<uint32_t>& runnable, uint32_t current) = 0;
 
   // Notification: `tid` just finished a basic block (executed its terminator).
-  virtual void OnBlockBoundary(uint32_t tid) {}
+  virtual void OnBlockBoundary(uint32_t /*tid*/) {}
 
   // True if the scheduler has diverged from its script (scripted replay only).
   virtual bool failed() const { return false; }
@@ -128,7 +128,8 @@ class PctScheduler : public Scheduler {
     std::sort(change_points_.begin(), change_points_.end());
   }
 
-  uint32_t Pick(const std::vector<uint32_t>& runnable, uint32_t current) override {
+  uint32_t Pick(const std::vector<uint32_t>& runnable,
+                uint32_t /*current*/) override {
     ++decisions_;
     while (next_change_ < change_points_.size() &&
            decisions_ > change_points_[next_change_]) {

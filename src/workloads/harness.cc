@@ -90,7 +90,7 @@ Result<Coredump> RunWithMemoryFault(const Module& module,
 
   // Flip one bit of one mapped globals-segment word.
   std::vector<uint64_t> candidates;
-  vm.memory().ForEachWord([&candidates](uint64_t addr, int64_t value) {
+  vm.memory().ForEachWord([&candidates](uint64_t addr, int64_t /*value*/) {
     if (IsGlobalAddress(addr)) {
       candidates.push_back(addr);
     }

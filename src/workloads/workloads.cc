@@ -683,25 +683,26 @@ const std::vector<WorkloadSpec>& AllWorkloads() {
     }
     v->push_back(WorkloadSpec{
         "buffer_overflow", BuildBufferOverflow, TrapKind::kAssertFailure,
-        RootCauseKind::kBufferOverflow, {5}, 0, false, false});
+        RootCauseKind::kBufferOverflow, {5}, 0, false, false, {}, nullptr});
     v->push_back(WorkloadSpec{
         "use_after_free", BuildUseAfterFree, TrapKind::kUseAfterFree,
-        RootCauseKind::kUseAfterFree, {1}, 0, false, false});
+        RootCauseKind::kUseAfterFree, {1}, 0, false, false, {}, nullptr});
     v->push_back(WorkloadSpec{
         "double_free", BuildDoubleFree, TrapKind::kDoubleFree,
-        RootCauseKind::kDoubleFree, {}, 0, false, false});
+        RootCauseKind::kDoubleFree, {}, 0, false, false, {}, nullptr});
     v->push_back(WorkloadSpec{
         "div_by_zero_input", BuildDivByZeroInput, TrapKind::kDivByZero,
-        RootCauseKind::kDivByZero, {0}, 0, false, false});
+        RootCauseKind::kDivByZero, {0}, 0, false, false, {}, nullptr});
     v->push_back(WorkloadSpec{
         "semantic_assert", BuildSemanticAssert, TrapKind::kAssertFailure,
-        RootCauseKind::kSemanticBug, {7}, 0, false, false});
+        RootCauseKind::kSemanticBug, {7}, 0, false, false, {}, nullptr});
     v->push_back(WorkloadSpec{
         "deadlock", BuildDeadlock, TrapKind::kDeadlock,
-        RootCauseKind::kDeadlock, {}, 350, true, false});
+        RootCauseKind::kDeadlock, {}, 350, true, false, {}, nullptr});
     v->push_back(WorkloadSpec{
         "locked_counter_input_bug", BuildLockedCounterInputBug,
-        TrapKind::kDivByZero, RootCauseKind::kDivByZero, {0}, 350, true, false});
+        TrapKind::kDivByZero, RootCauseKind::kDivByZero, {0}, 350, true, false,
+        {}, nullptr});
     return v;
   }();
   return *specs;

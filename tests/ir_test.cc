@@ -315,6 +315,23 @@ TEST(ParserTest, RejectsDuplicateFunction) {
   EXPECT_FALSE(m.ok());
 }
 
+TEST(ParserTest, RejectsOversizedGlobalsWithoutAllocating) {
+  const char* kEntry =
+      "entry main\nfunc main params 0 regs 1 {\nblock entry:\n  halt\n}\n";
+  for (const char* global :
+       {"global g 9000000000000000000\n",  // size_words * 8 wraps
+        "global g 2097152\n",              // one word past the segment
+        "global a 2000000\nglobal b 97153\n",  // the second one overflows
+        "global g 2 = 1 2 3\n"}) {         // more initializers than words
+    auto m = ParseModule(std::string(global) + kEntry);
+    ASSERT_FALSE(m.ok()) << global;
+    EXPECT_EQ(m.status().code(), StatusCode::kDataLoss) << global;
+  }
+  // The largest global that fits is accepted.
+  auto fits = ParseModule(std::string("global g 2088960\n") + kEntry);
+  EXPECT_TRUE(fits.ok()) << fits.status().ToString();
+}
+
 TEST(ParserTest, ParsesQuotedAssertMessages) {
   auto m = ParseModule(
       "entry main\nfunc main params 0 regs 1 {\nblock entry:\n"

@@ -156,6 +156,9 @@ TEST(StringUtilTest, ParseInt64Rejects) {
   EXPECT_FALSE(ParseInt64("abc").has_value());
   EXPECT_FALSE(ParseInt64("12x").has_value());
   EXPECT_FALSE(ParseInt64("99999999999999999999999").has_value());
+  // 20 digits whose value * 10 wraps past 2^64 without the result dropping
+  // below the previous value.
+  EXPECT_FALSE(ParseInt64("20500000000000000000").has_value());
 }
 
 TEST(StringUtilTest, ParseInt64Extremes) {

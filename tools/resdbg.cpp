@@ -31,6 +31,7 @@
 // modules are auto-detected by the RESMOD1 magic.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -88,6 +89,21 @@ Result<Coredump> LoadDump(const std::string& path) {
   return DeserializeCoredump(bytes);
 }
 
+// Reads a numeric flag value with the library's checked parser: malformed,
+// wrapped or (unless `allow_negative`) negative text prints an error naming
+// the flag and yields nullopt, so the caller exits 2 instead of running
+// with a 0.
+std::optional<int64_t> ParseFlag(const char* flag, const char* text,
+                                 bool allow_negative = false) {
+  std::optional<int64_t> value = ParseInt64(text);
+  if (!value.has_value() || (!allow_negative && *value < 0)) {
+    std::fprintf(stderr, "error: %s expects %s integer, got '%s'\n", flag,
+                 allow_negative ? "an" : "a non-negative", text);
+    return std::nullopt;
+  }
+  return value;
+}
+
 int CmdRun(const std::string& program, int argc, char** argv) {
   auto module = LoadModule(program);
   if (!module.ok()) {
@@ -103,7 +119,11 @@ int CmdRun(const std::string& program, int argc, char** argv) {
   QueueInputProvider inputs(/*fallback=*/0);
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      auto value = ParseFlag("--seed", argv[++i]);
+      if (!value.has_value()) {
+        return 2;
+      }
+      seed = static_cast<uint64_t>(*value);
       seed_overridden = true;
     } else if (std::strcmp(argv[i], "--sched") == 0 && i + 1 < argc) {
       auto parsed = ParseSchedulerSpec(argv[++i]);
@@ -113,7 +133,11 @@ int CmdRun(const std::string& program, int argc, char** argv) {
       }
       sched_spec = parsed.value();
     } else if (std::strcmp(argv[i], "--input") == 0 && i + 1 < argc) {
-      inputs.Push(0, std::strtoll(argv[++i], nullptr, 10));
+      auto value = ParseFlag("--input", argv[++i], /*allow_negative=*/true);
+      if (!value.has_value()) {
+        return 2;
+      }
+      inputs.Push(0, *value);
     } else if (std::strcmp(argv[i], "--predecode") == 0) {
       predecode = true;
     }
@@ -171,7 +195,11 @@ int CmdAnalyze(const std::string& program, const std::string& core, int argc,
   ResOptions options;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-units") == 0 && i + 1 < argc) {
-      options.max_units = std::strtoull(argv[++i], nullptr, 10);
+      auto value = ParseFlag("--max-units", argv[++i]);
+      if (!value.has_value()) {
+        return 2;
+      }
+      options.max_units = static_cast<size_t>(*value);
     } else if (std::strcmp(argv[i], "--no-breadcrumbs") == 0) {
       options.use_lbr = false;
       options.use_error_log = false;
@@ -266,11 +294,23 @@ int CmdSweep(const std::string& out_dir, int argc, char** argv) {
         grid.policies.emplace_back(spec);
       }
     } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      grid.seeds_per_cell = std::strtoull(argv[++i], nullptr, 10);
+      auto value = ParseFlag("--seeds", argv[++i]);
+      if (!value.has_value()) {
+        return 2;
+      }
+      grid.seeds_per_cell = static_cast<uint64_t>(*value);
     } else if (std::strcmp(argv[i], "--first-seed") == 0 && i + 1 < argc) {
-      grid.first_seed = std::strtoull(argv[++i], nullptr, 10);
+      auto value = ParseFlag("--first-seed", argv[++i]);
+      if (!value.has_value()) {
+        return 2;
+      }
+      grid.first_seed = static_cast<uint64_t>(*value);
     } else if (std::strcmp(argv[i], "--max-steps") == 0 && i + 1 < argc) {
-      grid.max_steps_per_run = std::strtoull(argv[++i], nullptr, 10);
+      auto value = ParseFlag("--max-steps", argv[++i]);
+      if (!value.has_value()) {
+        return 2;
+      }
+      grid.max_steps_per_run = static_cast<uint64_t>(*value);
     } else if (std::strcmp(argv[i], "--no-diff") == 0) {
       run_diff = false;
     } else {
