@@ -169,6 +169,126 @@ TEST_F(PortfolioSolverTest, BudgetExhaustionIsSoundAndCounted) {
   EXPECT_EQ(fixed_stats.budget_exhaustions, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Solver-level pins: the full outcome of one default-options check per
+// deciding strategy (plus propagation), recorded from the fixed pipeline.
+// The engine corpus is settled by propagation, the cached model and the
+// check cache before any strategy runs, so these pins are what holds the
+// strategies themselves — odometer order, search RNG trajectory, cores and
+// step/win accounting — in place.
+// ---------------------------------------------------------------------------
+
+struct PinCase {
+  const char* name;
+  std::vector<const Expr*> constraints;
+  const char* expected;
+};
+
+// Verdict, model (by variable name), sorted core, and the per-strategy
+// step/win counters of one check, in a stable rendering.
+std::string PinOf(const ExprPool& pool, const SolveOutcome& out,
+                  const SolverStats& stats, bool with_core = true) {
+  std::string pin(SatResultName(out.result));
+  std::vector<std::pair<std::string, int64_t>> model;
+  for (const auto& [var, value] : out.model) {
+    model.emplace_back(pool.var_info(var).name, value);
+  }
+  std::sort(model.begin(), model.end());
+  pin += " model={";
+  for (const auto& [name, value] : model) {
+    pin += StrFormat(" %s=%lld", name.c_str(), static_cast<long long>(value));
+  }
+  pin += " }";
+  if (with_core) {
+    pin += " core={";
+    for (const Expr* c : out.core) {
+      pin += " " + ExprToString(pool, c) + ";";
+    }
+    pin += " }";
+  }
+  pin += StrFormat(" steps=%llu/%llu/%llu wins=%llu/%llu/%llu",
+                   static_cast<unsigned long long>(stats.strategy_steps[0]),
+                   static_cast<unsigned long long>(stats.strategy_steps[1]),
+                   static_cast<unsigned long long>(stats.strategy_steps[2]),
+                   static_cast<unsigned long long>(stats.strategy_wins[0]),
+                   static_cast<unsigned long long>(stats.strategy_wins[1]),
+                   static_cast<unsigned long long>(stats.strategy_wins[2]));
+  return pin;
+}
+
+std::vector<PinCase> PinCases(ExprPool* pool) {
+  const Expr* x = pool->Var("x", VarOrigin::kInput);
+  const Expr* y = pool->Var("y", VarOrigin::kInput);
+  const Expr* w = pool->Var("w", VarOrigin::kInput);
+  auto le = [pool](const Expr* a, const Expr* b) {
+    return pool->Binary(BinOp::kLeS, a, b);
+  };
+  auto k = [pool](int64_t v) { return pool->Const(v); };
+  auto bin = [pool](BinOp op, const Expr* a, const Expr* b) {
+    return pool->Binary(op, a, b);
+  };
+  return {
+      // The existing PortfolioSolverTest inputs.
+      {"enum_sat_rem",
+       {le(k(0), x), le(x, k(20)), pool->Eq(bin(BinOp::kRemS, x, k(3)), k(2))},
+       "sat model={ x=2 } core={ } steps=3/3/0 wins=0/1/0"},
+      {"enum_unsat_rem",
+       {le(k(5), x), le(x, k(20)), pool->Eq(bin(BinOp::kRemS, x, k(3)), k(7))},
+       "unsat model={ } core={ (les x 20); (les 5 x); (eq (rems x 3) 7); } "
+       "steps=3/16/0 wins=0/1/0"},
+      {"propagation_unsat",
+       {pool->Eq(x, k(5)), pool->Eq(y, x), pool->Eq(y, k(7))},
+       "unsat model={ } core={ (eq y 7); (eq y x); (eq x 5); } "
+       "steps=0/0/0 wins=0/0/0"},
+      {"search_sat_and",
+       {pool->Eq(bin(BinOp::kAnd, x, k(3)), k(3))},
+       "sat model={ x=8191 } core={ } steps=1/0/4 wins=0/0/1"},
+      // One more set per deciding strategy.
+      {"interval_unsat",
+       {le(x, k(3)), le(k(7), x), bin(BinOp::kLtS, y, k(100))},
+       "unsat model={ } core={ (les x 3); (les 7 x); } steps=3/0/0 wins=1/0/0"},
+      {"enum_sat_two_vars",
+       {le(k(0), x), le(x, k(7)), le(k(0), y), le(y, k(7)),
+        pool->Eq(bin(BinOp::kMul, x, y), k(12)), bin(BinOp::kLtS, x, y)},
+       "sat model={ x=2 y=6 } core={ } steps=6/23/0 wins=0/1/0"},
+      {"enum_unsat_two_vars_core",
+       {le(k(0), x), le(x, k(3)), le(k(0), y), le(y, k(3)),
+        pool->Eq(bin(BinOp::kMul, x, y), k(11)), pool->Eq(w, k(9))},
+       "unsat model={ } core={ (les 0 x); (les x 3); (eq (mul x y) 11); (les y 3); (les 0 y); } "
+       "steps=5/16/0 wins=0/1/0"},
+      {"search_sat_two_vars",
+       {pool->Eq(bin(BinOp::kAnd, bin(BinOp::kMul, x, k(3)), k(7)), k(5)),
+        pool->Eq(bin(BinOp::kAnd, bin(BinOp::kOr, x, y), k(16)), k(16)),
+        bin(BinOp::kNe, bin(BinOp::kAnd, y, k(1)), k(0))},
+       "sat model={ x=6705015954709923927 y=19 } core={ } "
+       "steps=3/0/37 wins=0/0/1"},
+  };
+}
+
+TEST_F(PortfolioSolverTest, PinnedOutcomesPerStrategy) {
+  for (const PinCase& c : PinCases(&pool_)) {
+    SolverStats stats;
+    Solver solver(&pool_, /*seed=*/1, SolverOptions{});
+    SolveOutcome out = solver.Check(c.constraints, &stats);
+    EXPECT_EQ(PinOf(pool_, out, stats), c.expected) << c.name;
+  }
+}
+
+TEST_F(PortfolioSolverTest, PinnedOutcomesMatchTheFixedPipeline) {
+  // The pins above come from default options; the fixed pipeline (no
+  // budget slicing, no core tracking) must reach the same verdict, model
+  // and per-strategy counters on every pinned set.
+  for (const PinCase& c : PinCases(&pool_)) {
+    SolverStats port_stats;
+    SolveOutcome port = Run(c.constraints, /*portfolio=*/true, &port_stats);
+    SolverStats fixed_stats;
+    SolveOutcome fixed = Run(c.constraints, /*portfolio=*/false, &fixed_stats);
+    EXPECT_EQ(PinOf(pool_, fixed, fixed_stats, /*with_core=*/false),
+              PinOf(pool_, port, port_stats, /*with_core=*/false))
+        << c.name;
+  }
+}
+
 TEST_F(PortfolioSolverTest, StrategyKindNamesMatchRotationOrder) {
   // The JSONL per-strategy fields (bench/README.md) are keyed by these
   // names in rotation order; renaming or reordering a strategy must show
