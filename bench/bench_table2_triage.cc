@@ -227,8 +227,8 @@ int main() {
   }
 
   // The degraded-retry stream: a step deadline the full-fidelity profile
-  // overshoots but the degraded retry (half depth, classic solver, half
-  // budget) fits. Calibrated on the engine's own deterministic abstract
+  // overshoots but the degraded retry (half depth, no clause learning)
+  // fits. Calibrated on the engine's own deterministic abstract
   // clock (ResStats::committed_units), so the stream behaves identically on
   // any machine.
   {
@@ -244,8 +244,7 @@ int main() {
       res_options.max_hypotheses = 1000;
       ResOptions degraded = res_options;  // mirrors TriageService's profile
       degraded.max_units = res_options.max_units / 2;
-      degraded.solver_portfolio = false;
-      degraded.solver_budget_steps = res_options.solver_budget_steps / 2;
+      degraded.learn_clauses = false;
       const uint64_t u_deg = ResEngine(module, run.value().dump, degraded)
                                  .Run()
                                  .stats.committed_units;

@@ -63,7 +63,6 @@ struct BenchRecord {
   uint64_t detector_units_scanned = 0;  // root-cause detector unit visits
   uint64_t clauses_learned = 0;         // UNSAT cores published to the store
   uint64_t clause_hits = 0;             // hypotheses refuted by a stored core
-  uint64_t budget_exhaustions = 0;      // portfolio checks ended by budget
   uint64_t strategy_wins_interval = 0;
   uint64_t strategy_wins_enumeration = 0;
   uint64_t strategy_wins_search = 0;
@@ -117,7 +116,6 @@ struct BenchRecord {
     detector_units_scanned += stats.detector_units_scanned;
     clauses_learned += stats.solver.clauses_learned;
     clause_hits += stats.solver.clause_hits;
-    budget_exhaustions += stats.solver.budget_exhaustions;
     strategy_wins_interval +=
         stats.solver.strategy_wins[static_cast<size_t>(StrategyKind::kInterval)];
     strategy_wins_enumeration += stats.solver.strategy_wins[static_cast<size_t>(
@@ -186,7 +184,7 @@ class BenchJsonWriter {
         "\"cache_hits\": %llu, "
         "\"propagated_constraints\": %llu, \"detector_units_scanned\": %llu, "
         "\"clauses_learned\": %llu, \"clause_hits\": %llu, "
-        "\"budget_exhaustions\": %llu, \"strategy_wins_interval\": %llu, "
+        "\"strategy_wins_interval\": %llu, "
         "\"strategy_wins_enumeration\": %llu, \"strategy_wins_search\": %llu, "
         "\"clauses_evicted\": %llu, \"promoted_clause_hits\": %llu, "
         "\"promoted_cache_hits\": %llu, "
@@ -208,7 +206,6 @@ class BenchJsonWriter {
         static_cast<unsigned long long>(r.detector_units_scanned),
         static_cast<unsigned long long>(r.clauses_learned),
         static_cast<unsigned long long>(r.clause_hits),
-        static_cast<unsigned long long>(r.budget_exhaustions),
         static_cast<unsigned long long>(r.strategy_wins_interval),
         static_cast<unsigned long long>(r.strategy_wins_enumeration),
         static_cast<unsigned long long>(r.strategy_wins_search),

@@ -12,7 +12,12 @@ FunctionBuilder::FunctionBuilder(ModuleBuilder* parent, FuncId id, Function fn)
 BlockId FunctionBuilder::NewBlock(const std::string& name) {
   BlockId id = static_cast<BlockId>(fn_.blocks.size());
   BasicBlock bb;
-  bb.name = name.empty() ? ("b" + std::to_string(id)) : name;
+  if (name.empty()) {
+    bb.name = "b";
+    bb.name += std::to_string(id);
+  } else {
+    bb.name = name;
+  }
   fn_.blocks.push_back(std::move(bb));
   if (insert_point_ == kNoBlock) {
     insert_point_ = id;

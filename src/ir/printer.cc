@@ -10,7 +10,7 @@ std::string Reg(RegId r) {
   if (r == kNoReg) {
     return "_";
   }
-  return "r" + std::to_string(r);
+  return StrFormat("r%u", static_cast<unsigned>(r));
 }
 
 std::string BlockName(const Function& fn, BlockId b) {

@@ -161,7 +161,7 @@ std::vector<uint8_t> SerializeFactsLog(const FactsLog& log) {
   for (const FactsLog::Key& k : log.keys) {
     w.U64(k.set_key);
     w.U32(k.distinct);
-    w.U8(k.portfolio ? 1 : 0);
+    w.U8(k.with_core ? 1 : 0);
     w.U64(k.solver_fingerprint);
   }
   return w.Take();
@@ -298,15 +298,15 @@ Result<FactsLog> ParseFactsLog(const std::vector<uint8_t>& bytes) {
   }
   for (uint64_t i = 0; i < key_count; ++i) {
     FactsLog::Key k;
-    uint8_t portfolio;
-    if (!r.U64(&k.set_key) || !r.U32(&k.distinct) || !r.U8(&portfolio) ||
+    uint8_t with_core;
+    if (!r.U64(&k.set_key) || !r.U32(&k.distinct) || !r.U8(&with_core) ||
         !r.U64(&k.solver_fingerprint)) {
       return DataLoss("truncated key record");
     }
-    if (portfolio > 1) {
-      return DataLoss("invalid key portfolio flag");
+    if (with_core > 1) {
+      return DataLoss("invalid key with_core flag");
     }
-    k.portfolio = portfolio != 0;
+    k.with_core = with_core != 0;
     log.keys.push_back(k);
   }
   if (!r.AtEnd()) {

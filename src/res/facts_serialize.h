@@ -83,7 +83,7 @@ struct FactsLog {
   struct Key {
     uint64_t set_key = 0;
     uint32_t distinct = 0;
-    bool portfolio = false;
+    bool with_core = false;
     uint64_t solver_fingerprint = 0;
   };
   std::vector<Key> keys;  // promoted cold-check keys, promotion order

@@ -160,8 +160,9 @@ namespace {
 
 SolverOptions MakeSolverOptions(const ResOptions& options) {
   SolverOptions s;
-  s.portfolio = options.solver_portfolio;
-  s.budget_steps = options.solver_budget_steps;
+  if (!options.learn_clauses) {
+    s.max_core_size = 0;  // nothing would consume the cores
+  }
   s.fault_plan = options.fault_plan;
   s.fault_task = options.fault_task;
   return s;
@@ -283,7 +284,6 @@ void ResEngine::MergeStats(const ResStats& d, const SolverStats& sd) {
     s.strategy_steps[i] += sd.strategy_steps[i];
     s.strategy_wins[i] += sd.strategy_wins[i];
   }
-  s.budget_exhaustions += sd.budget_exhaustions;
   s.promoted_cache_hits += sd.promoted_cache_hits;
   // Cold-check keys append in merge order == commit order, so the engine's
   // final journal is deterministic.
@@ -667,10 +667,11 @@ void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
       }
     }
     bool complete = false;
+    Status fault;
     std::vector<int64_t> values =
         solver_.EnumerateValues(e, context, options_.address_fork_limit, &complete,
-                                &tctx->sstats);
-    if (values.empty()) {
+                                &tctx->sstats, &fault);
+    if (values.empty() && fault.ok()) {
       // The bias may have over-constrained; retry with the sound context.
       std::vector<const Expr*> plain;
       plain.reserve(h.constraints.size() + cons.size());
@@ -679,7 +680,14 @@ void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
         plain.push_back(c);
       }
       values = solver_.EnumerateValues(e, plain, options_.address_fork_limit,
-                                       &complete, &tctx->sstats);
+                                       &complete, &tctx->sstats, &fault);
+    }
+    if (!fault.ok()) {
+      // A faulted enumeration is incomplete: fail the run rather than let
+      // the partial value set silently reshape the search.
+      RecordFault(std::move(fault));
+      infeasible = true;
+      return std::nullopt;
     }
     if (values.empty()) {
       if (!complete) {
@@ -1364,6 +1372,12 @@ std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(const Node& n,
       options_.incremental_solving
           ? solver_.CheckIncremental(&cctx, h2.constraints, &tctx->sstats)
           : solver_.Check(h2.constraints, &tctx->sstats);
+  if (!outcome.fault.ok()) {
+    // As in GateNode: an injected solver failure fails the run; an
+    // unverified suffix must not stand in for the final gate.
+    RecordFault(std::move(outcome.fault));
+    return std::nullopt;
+  }
   switch (outcome.result) {
     case SatResult::kUnsat:
       ++tctx->stats.pruned_unsat;
@@ -1644,7 +1658,7 @@ ResResult ResEngine::Run() {
     // published prefix before paying for its gate. A screen-refuted node
     // behaves exactly like a gate-failed one.
     n->screen_seq = clause_store_.published();
-    if (options_.solver_portfolio && !n->is_root &&
+    if (options_.learn_clauses && !n->is_root &&
         (n->screen_seq > 0 || promoted_watermark_ > 0)) {
       uint64_t hit_seq = 0;
       int refuted = ScreenRefutes(*n, &hit_seq);
@@ -1667,7 +1681,7 @@ ResResult ResEngine::Run() {
       if (!GateNode(n.get(), &core, &gate)) {
         // Pruned before reaching the frontier: consumes no budget.
         MergeStats(gate.stats, gate.sstats);
-        if (options_.solver_portfolio && !core.empty()) {
+        if (options_.learn_clauses && !core.empty()) {
           if (clause_debug) {
             std::fprintf(stderr, "[core] size=%zu:\n", core.size());
             for (const Expr* e : core) {

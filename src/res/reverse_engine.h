@@ -61,20 +61,13 @@ struct ResOptions {
   // detector to the monolithic one. Output is byte-identical either way;
   // only the ResStats detector counters differ.
   bool incremental_root_causes = true;
-  // When true (default), solver gates run the strategy portfolio (interval
-  // propagation / value enumeration / local search as budgeted competing
-  // strategies — see SolverOptions) AND hypotheses share a learned-clause
-  // store: minimized UNSAT cores published in deterministic commit order,
-  // so a sibling hypothesis repeating a proven conflict is refuted by O(1)
-  // membership probes instead of a solver call. When false, every gate runs
-  // the classic fixed pipeline with no clause sharing — the differential
-  // oracle (tests/solver_portfolio_test.cc pins the portfolio to it).
-  bool solver_portfolio = true;
-  // Total abstract solver steps one gate check may spend across the
-  // portfolio's strategies before giving up as kUnknown (sound); 0 =
-  // unlimited. The default covers every strategy running to completion, so
-  // exhaustion only occurs when configured tighter.
-  uint64_t solver_budget_steps = 1 << 17;
+  // When true (default), hypotheses share a learned-clause store: solver
+  // gates derive minimized UNSAT cores, the commit loop publishes them in
+  // deterministic commit order, and a sibling hypothesis repeating a proven
+  // conflict is refuted by O(1) membership probes instead of a solver call.
+  // When false, gates derive no cores and nothing is screened — the
+  // reference path tests/clause_learning_test.cc pins clause learning to.
+  bool learn_clauses = true;
   uint64_t solver_seed = 7;
   // Deterministic step deadline: the total number of hypotheses the commit
   // loop may pop (committed work, NOT wall clock — so the deadline verdict
@@ -332,7 +325,7 @@ class ResEngine {
   std::unique_ptr<ExprPool> owned_pool_;
   ExprPool* pool_;
   Solver solver_;
-  // Run-local learned-clause store (solver_portfolio only). The commit loop
+  // Run-local learned-clause store (learn_clauses only). The commit loop
   // publishes gate cores and screens every popped node against it — see
   // Run().
   ClauseStore clause_store_;

@@ -265,7 +265,7 @@ Result<std::vector<uint8_t>> ResRuntime::ExportFacts(const Module& module) {
     FactsLog::Key k;
     k.set_key = pk.key.set_key;
     k.distinct = pk.key.distinct;
-    k.portfolio = pk.key.portfolio;
+    k.with_core = pk.key.with_core;
     k.solver_fingerprint = pk.solver_fingerprint;
     log.keys.push_back(k);
   }
@@ -353,7 +353,7 @@ Result<ResRuntime::FactsImport> ResRuntime::ImportFacts(
     CheckKey key;
     key.set_key = k.set_key;
     key.distinct = k.distinct;
-    key.portfolio = k.portfolio;
+    key.with_core = k.with_core;
     if (check_cache_.Promote(key, k.solver_fingerprint)) {
       ++out.keys_imported;
       facts.promoted_keys.push_back({key, k.solver_fingerprint});

@@ -1,9 +1,12 @@
 #include "src/support/faultpoint.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
+#include <optional>
 
 #include "src/support/logging.h"
+#include "src/support/string_util.h"
 
 namespace res {
 
@@ -15,6 +18,22 @@ struct SiteRegistry {
   std::mutex mu;
   std::vector<std::string_view> names;
 };
+
+// One fault-plan number: the whole token through ParseInt64 (which would
+// trim surrounding whitespace, so the token may not carry any), within
+// [lo, hi].
+std::optional<int64_t> ParsePlanNumber(std::string_view text, int64_t lo,
+                                       int64_t hi) {
+  auto is_space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  if (text.empty() || is_space(text.front()) || is_space(text.back())) {
+    return std::nullopt;
+  }
+  std::optional<int64_t> value = ParseInt64(text);
+  if (!value.has_value() || *value < lo || *value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 SiteRegistry& Registry() {
   static SiteRegistry* r = new SiteRegistry();
@@ -62,27 +81,24 @@ Status FaultPlan::Parse(std::string_view spec) {
     int task = kAnyTask;
     size_t at = entry.rfind('@');
     if (at != std::string_view::npos) {
-      std::string task_str(entry.substr(at + 1));
-      char* end = nullptr;
-      long v = std::strtol(task_str.c_str(), &end, 10);
-      if (end == task_str.c_str() || *end != '\0' || v < 0) {
+      std::optional<int64_t> v = ParsePlanNumber(entry.substr(at + 1), 0, INT_MAX);
+      if (!v.has_value()) {
         return InvalidArgument("bad fault-plan task in '" +
                                std::string(entry) + "'");
       }
-      task = static_cast<int>(v);
+      task = static_cast<int>(*v);
       entry = entry.substr(0, at);
     }
     uint64_t nth = 1;
     size_t eq = entry.find('=');
     if (eq != std::string_view::npos) {
-      std::string nth_str(entry.substr(eq + 1));
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(nth_str.c_str(), &end, 10);
-      if (end == nth_str.c_str() || *end != '\0' || v == 0) {
+      std::optional<int64_t> v =
+          ParsePlanNumber(entry.substr(eq + 1), 1, INT64_MAX);
+      if (!v.has_value()) {
         return InvalidArgument("bad fault-plan count in '" +
                                std::string(entry) + "'");
       }
-      nth = v;
+      nth = static_cast<uint64_t>(*v);
       entry = entry.substr(0, eq);
     }
     if (entry.empty()) {

@@ -89,7 +89,9 @@ class FaultPlan {
 
   // Parses a comma-separated arm list: "site[=nth][@task],..." — e.g.
   // "coredump.deserialize,solver.strategy=3@1". Unknown sites are accepted
-  // (they simply never fire); malformed numbers are an error.
+  // (they simply never fire). Numbers go through ParseInt64 (decimal or 0x
+  // hex, no surrounding whitespace): nth must lie in [1, INT64_MAX] and task
+  // in [0, INT_MAX]; anything else is an error.
   Status Parse(std::string_view spec);
 
   // Consumes one hit of `site` under task scope `task`; true exactly when

@@ -7,21 +7,14 @@
 // exhaustive enumeration of finite domains). Anything else is kUnknown,
 // which RES treats conservatively (hypothesis kept, marked unverified).
 //
-// Strategy portfolio (the default): after equality propagation, the three
-// decision procedures — interval propagation, exhaustive enumeration of
-// small finite domains, and randomized local search — run as pluggable
-// Strategy objects under a deterministic budget scheduler. Strategies are
-// resumable: each rotation turn advances one strategy by a bounded slice of
-// abstract steps, in a FIXED rotation order (interval -> enumeration ->
-// search), and the check returns on the first SAT/UNSAT verdict. The total
-// step budget (SolverOptions::budget_steps) bounds the worst-case cost of a
-// single check at slice granularity — the interval pass is atomic, so a
-// check can overshoot by at most one full tightening pass over the residual
-// plus one slice; exhausting the budget yields kUnknown (sound) and counts
-// a budget_exhaustion. With SolverOptions::portfolio=false the classic fixed
-// pipeline runs instead — each strategy to completion, in the same order —
-// and is the differential oracle for the portfolio (the strategy *bodies*
-// are shared; only the scheduling differs).
+// One decision pipeline: after equality propagation, three decision
+// procedures run over the residual, each to completion, in a fixed order —
+// interval propagation, exhaustive enumeration of small finite domains, then
+// randomized local search — and the check returns on the first SAT/UNSAT
+// verdict. A check no procedure decides is kUnknown (sound). Every
+// procedure's trajectory is a pure function of the constraint set, and
+// SolverStats counts the abstract steps each spent and the verdicts each
+// decided (strategy_steps / strategy_wins).
 //
 // Incremental solving (the RES hot path): a SolverContext persists the
 // equality-propagation bindings, interval state, and simplified residual of
@@ -72,7 +65,7 @@ enum class SatResult : uint8_t { kSat = 0, kUnsat = 1, kUnknown = 2 };
 
 std::string_view SatResultName(SatResult r);
 
-// The portfolio's strategies, in their fixed deterministic rotation order.
+// The decision procedures, in pipeline order.
 enum class StrategyKind : uint8_t { kInterval = 0, kEnumeration = 1, kSearch = 2 };
 inline constexpr size_t kNumStrategies = 3;
 
@@ -114,14 +107,14 @@ struct Interval {
 };
 
 // Identity of one memoized cold-check key: the commutative content hash of
-// the deduped constraint set, its cardinality, and the decision-function
-// partition. This is what the cross-task promotion protocol publishes (see
+// the deduped constraint set, its cardinality, and whether the check derived
+// UNSAT cores. This is what the cross-task promotion protocol publishes (see
 // CheckCache): a promoted key makes every cache entry for that set visible
 // to all engine epochs.
 struct CheckKey {
   uint64_t set_key = 0;
   uint32_t distinct = 0;
-  bool portfolio = false;
+  bool with_core = false;
 };
 
 struct SolverStats {
@@ -139,14 +132,12 @@ struct SolverStats {
   uint64_t sat = 0;
   uint64_t unsat = 0;
   uint64_t unknown = 0;
-  // --- Portfolio counters (indexed by StrategyKind). ---
+  // --- Per-strategy counters (indexed by StrategyKind). ---
   // Abstract steps consumed per strategy (interval: residual constraints
   // visited; enumeration: points tried; search: mutation steps).
   uint64_t strategy_steps[kNumStrategies] = {0, 0, 0};
   // Definitive verdicts (SAT or UNSAT) decided by each strategy.
   uint64_t strategy_wins[kNumStrategies] = {0, 0, 0};
-  // Checks abandoned as kUnknown because the portfolio step budget ran out.
-  uint64_t budget_exhaustions = 0;
   // --- Learned-clause (UNSAT core) counters. ---
   uint64_t clauses_learned = 0;  // cores published to the shared store
   uint64_t clause_hits = 0;      // hypotheses refuted by a stored core
@@ -174,19 +165,8 @@ struct SolverOptions {
   uint64_t search_restarts = 8;
   uint64_t search_steps = 512;       // per restart
   size_t check_cache_max_entries = 1 << 18;  // memo cache bound (then reset)
-  // --- Portfolio scheduling. ---
-  bool portfolio = true;             // false = classic fixed pipeline
-  // Total abstract steps a single check may spend across all strategies; 0
-  // means unlimited. Enforced at slice granularity (the interval pass is
-  // atomic, so one check can overshoot by up to one full tightening pass).
-  // The default comfortably covers the worst case of every strategy running
-  // to completion (max_enum_points + restarts*steps), so budget exhaustion
-  // only occurs when explicitly configured tighter.
-  uint64_t budget_steps = 1 << 17;
-  uint64_t enum_slice = 4096;        // enumeration points per rotation turn
-  uint64_t search_slice = 256;       // local-search steps per rotation turn
   // Largest conflict (in constraints) still reported as an UNSAT core;
-  // 0 disables core derivation entirely.
+  // 0 disables core derivation (and its provenance tracking) entirely.
   size_t max_core_size = 12;
   // --- Fault injection (see src/support/faultpoint.h). ---
   // Plan consulted by the "solver.strategy" site at every check; nullptr
@@ -456,7 +436,7 @@ class CheckCache {
       return false;
     }
     for (const Entry& entry : it->second) {
-      if (entry.portfolio != k.portfolio || entry.key.size() != k.distinct ||
+      if (entry.with_core != k.with_core || entry.key.size() != k.distinct ||
           entry.fingerprint != fingerprint ||
           (entry.epoch != epoch && !promoted)) {
         continue;
@@ -503,13 +483,12 @@ class CheckCache {
  private:
   struct Entry {
     std::vector<const Expr*> key;  // sorted, deduped constraint pointers
-    // Which decision function computed `outcome`. Portfolio and fixed
-    // scheduling are two different pure functions of the constraint set
-    // (slicing can change which strategy finds the model first), so
-    // entries never cross modes — otherwise a fixed-pipeline consumer
-    // (EnumerateValues) could adopt a portfolio model, making its values
-    // depend on which earlier check warmed the cache first.
-    bool portfolio = false;
+    // Whether `outcome` carries a derived core. Gate checks (Check /
+    // CheckIncremental with max_core_size > 0) and EnumerateValues' checks
+    // (which never derive cores) stay in separate partitions, so a gate
+    // check never adopts a coreless UNSAT verdict and the engine's learned
+    // clauses do not depend on which check warmed the cache first.
+    bool with_core = false;
     uint32_t epoch = 0;        // owning engine run
     uint64_t fingerprint = 0;  // solver options + seed
     SolveOutcome outcome;
@@ -592,14 +571,14 @@ class Solver {
   // Distinct values `target` can take subject to `constraints` (up to
   // `limit`). `complete` is set true when the returned set is provably
   // exhaustive. Used for pointer concretization (paper §2.4's omitted
-  // "symbolic addresses" case). Always runs the classic fixed pipeline:
-  // enumeration IS its decision procedure, and the values found — which
-  // feed address-concretization forks, i.e. engine output — must not depend
-  // on portfolio scheduling.
+  // "symbolic addresses" case). Its checks derive no cores. When the
+  // "solver.strategy" fault site fires, the enumeration stops, `*fault`
+  // (when given) receives the fault, and the values are incomplete.
   std::vector<int64_t> EnumerateValues(const Expr* target,
                                        const std::vector<const Expr*>& constraints,
                                        size_t limit, bool* complete,
-                                       SolverStats* stats = nullptr);
+                                       SolverStats* stats = nullptr,
+                                       Status* fault = nullptr);
 
   const SolverStats& stats() const { return stats_; }
   // Hash of every outcome-relevant option plus the seed; the shared-cache
@@ -626,26 +605,30 @@ class Solver {
     bool AllSatisfied(const Assignment& model) const;
   };
 
-  // Per-check state shared by the strategies (free vars of the residual and
-  // the deterministic enumeration/search variable order).
-  struct StrategyEnv;
-  class Strategy;
-  class IntervalStrategy;
-  class EnumerationStrategy;
-  class SearchStrategy;
-
-  // `allow_portfolio=false` pins the check to the classic fixed pipeline
-  // regardless of options (EnumerateValues: see above).
+  // `with_core` asks for UNSAT cores: it turns on conflict-provenance
+  // tracking (when max_core_size > 0) and picks the check-cache partition.
   SolveOutcome CheckWith(SolverContext* ctx, const ConstraintInput& constraints,
-                         SolverStats* stats, bool allow_portfolio = true);
+                         SolverStats* stats, bool with_core);
   // Phase 1: absorb `fresh` (the constraints not yet seen by `ctx`) into the
   // context (substitution + equality extraction to fixpoint) and advance
   // ctx->absorbed_ to `new_absorbed` (the caller's full vector length —
   // `fresh` may be a deduplicated/canonicalized copy of that suffix).
-  // `portfolio` is the check's effective mode: it gates conflict-provenance
-  // tracking, which only portfolio-mode consumers (the clause store) read.
+  // Provenance is tracked only when `with_core` (nothing else reads it).
   void Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh,
-                 size_t new_absorbed, bool portfolio, SolverStats* stats);
+                 size_t new_absorbed, bool with_core, SolverStats* stats);
+  // The decision procedures over a propagated context's residual, in
+  // pipeline order, each run to completion. Each adds its abstract steps to
+  // stats->strategy_steps and returns true with a definitive verdict in
+  // *out. Interval also fills *order with the residual's free variables,
+  // sorted by their content-derived uid, which the later two iterate.
+  bool RunInterval(SolverContext* ctx, std::vector<VarId>* order,
+                   SolveOutcome* out, SolverStats* stats);
+  bool RunEnumeration(SolverContext* ctx, const std::vector<VarId>& order,
+                      const ConstraintInput& constraints, SolveOutcome* out,
+                      SolverStats* stats);
+  bool RunSearch(SolverContext* ctx, const std::vector<VarId>& order,
+                 const ConstraintInput& constraints, SolveOutcome* out,
+                 SolverStats* stats);
   // Completes `free_assignment` into a full model (bound vars evaluated from
   // their bindings), re-verifies every input constraint, and fills `out` on
   // success.

@@ -20,16 +20,12 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// The deterministic degraded retry profile: half the suffix depth, the
-// classic (non-portfolio) solver pipeline, half the per-check step budget.
-// Same deadline — the point is to fit under it with a cheaper search, not
-// to wait longer.
+// The deterministic degraded retry profile: half the suffix depth, no clause
+// learning. Same deadline — the point is to fit under it with a cheaper
+// search, not to wait longer.
 ResOptions DegradedProfile(ResOptions base) {
   base.max_units = std::max<size_t>(1, base.max_units / 2);
-  base.solver_portfolio = false;
-  base.solver_budget_steps = base.solver_budget_steps == 0
-                                 ? (1 << 16)
-                                 : std::max<uint64_t>(1, base.solver_budget_steps / 2);
+  base.learn_clauses = false;
   return base;
 }
 

@@ -67,7 +67,6 @@ std::string StatsSignature(const ResStats& s) {
                      static_cast<unsigned long long>(v.strategy_steps[i]),
                      static_cast<unsigned long long>(v.strategy_wins[i]));
   }
-  sig += CounterLine("solver.budget_exhaustions", v.budget_exhaustions);
   sig += CounterLine("solver.clauses_learned", v.clauses_learned);
   sig += CounterLine("solver.clause_hits", v.clause_hits);
   sig += CounterLine("solver.clauses_evicted", v.clauses_evicted);
@@ -79,7 +78,7 @@ std::string StatsSignature(const ResStats& s) {
   for (const CheckKey& k : v.cold_check_keys) {
     journal = HashCombine(journal, k.set_key);
     journal = HashCombine(journal, k.distinct);
-    journal = HashCombine(journal, k.portfolio ? 1 : 0);
+    journal = HashCombine(journal, k.with_core ? 1 : 0);
   }
   sig += StrFormat("solver.cold_check_keys=%zu digest=%016llx\n",
                    v.cold_check_keys.size(),
@@ -198,6 +197,60 @@ TEST(EngineGoldenTest, RacyCounterWideFullSynthesis) {
   options.max_units = 48;
   options.max_hypotheses = 1000;
   ExpectGolden("racy_counter_wide_3_full_synthesis", module, dump, options);
+}
+
+// A fired "solver.strategy" fault must fail the run wherever the solver is
+// called — gates, the complete-start check and address enumeration alike —
+// and an armed plan that never fires must leave the output untouched. Arms
+// the site at every hit of the run (one hit per solver check) plus one past
+// the end.
+void ExpectSolverFaultsFailTheRun(const std::string& name, const Module& module,
+                                  const Coredump& dump,
+                                  const ResOptions& options) {
+  const std::string golden = ReadGolden(name);
+  const uint64_t checks = ResEngine(module, dump, options)
+                              .Run()
+                              .stats.solver.checks;
+  ASSERT_GT(checks, 0u) << name;
+  for (uint64_t nth = 1; nth <= checks + 1; ++nth) {
+    FaultPlan plan;
+    plan.Arm("solver.strategy", nth);
+    ResOptions armed = options;
+    armed.fault_plan = &plan;
+    ResResult result = ResEngine(module, dump, armed).Run();
+    if (plan.fired() > 0) {
+      EXPECT_EQ(result.stop, StopReason::kTaskFailed)
+          << name << " nth=" << nth;
+      EXPECT_EQ(result.status.code(), StatusCode::kInternal)
+          << name << " nth=" << nth;
+    } else {
+      // Rendered from a fresh run under an identically armed plan.
+      FaultPlan again;
+      again.Arm("solver.strategy", nth);
+      armed.fault_plan = &again;
+      EXPECT_EQ(RunSignature(module, dump, armed), golden)
+          << name << " nth=" << nth;
+    }
+  }
+}
+
+TEST(EngineGoldenTest, SolverFaultsFailTheRunAtEveryCheck) {
+  {
+    // Gates plus the complete-start check.
+    Module module = BuildDivByZeroInput();
+    Coredump dump = DumpFor(module, WorkloadByName("div_by_zero_input"));
+    ResOptions options;
+    options.stop_at_root_cause = false;
+    ExpectSolverFaultsFailTheRun("div_by_zero_full_synthesis", module, dump,
+                                 options);
+  }
+  // Address concretization: these runs enumerate symbolic addresses.
+  for (const char* name : {"use_after_free", "double_free", "buffer_overflow"}) {
+    const WorkloadSpec& spec = WorkloadByName(name);
+    Module module = spec.build();
+    Coredump dump = DumpFor(module, spec);
+    ExpectSolverFaultsFailTheRun(name, module, dump, ResOptions{});
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "src/res/res_api.h"
 #include "src/support/persistent.h"
 #include "src/support/rng.h"
+#include "src/support/string_util.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
 
@@ -308,7 +309,7 @@ TEST(PersistentStructureTest, CowOverlayMatchesPlainMapAcrossForks) {
   ExprPool pool;
   std::vector<const Expr*> values;
   for (int i = 0; i < 10; ++i) {
-    values.push_back(pool.Var("v" + std::to_string(i), VarOrigin::kHavocMem));
+    values.push_back(pool.Var(StrFormat("v%d", i), VarOrigin::kHavocMem));
   }
   struct Branch {
     CowOverlay cow;

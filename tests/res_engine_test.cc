@@ -5,6 +5,7 @@
 
 #include "src/res/res_api.h"
 #include "src/support/rng.h"
+#include "src/support/string_util.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
 
@@ -78,7 +79,7 @@ TEST(SymSnapshotTest, CowOverlayMatchesPlainMapAcrossForks) {
   ExprPool pool;
   std::vector<const Expr*> values;
   for (int i = 0; i < 8; ++i) {
-    values.push_back(pool.Var("w" + std::to_string(i), VarOrigin::kHavocMem));
+    values.push_back(pool.Var(StrFormat("w%d", i), VarOrigin::kHavocMem));
   }
   struct Branch {
     CowOverlay cow;

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "src/support/rng.h"
+#include "src/support/string_util.h"
 #include "src/symbolic/expr.h"
 #include "src/symbolic/solver.h"
 
@@ -115,7 +116,7 @@ TEST_P(ExprPropertyTest, SimplificationPreservesSemantics) {
   Rng rng(GetParam());
   std::vector<const Expr*> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(pool.Var("v" + std::to_string(i), VarOrigin::kUnknown));
+    vars.push_back(pool.Var(StrFormat("v%d", i), VarOrigin::kUnknown));
   }
   // Random expression tree.
   std::function<const Expr*(int)> gen = [&](int depth) -> const Expr* {
@@ -260,7 +261,7 @@ TEST_F(SolverTest, SatModelsAreAlwaysVerified) {
     Solver solver(&pool, trial + 1);
     std::vector<const Expr*> vars;
     for (int i = 0; i < 3; ++i) {
-      vars.push_back(pool.Var("v" + std::to_string(i), VarOrigin::kUnknown));
+      vars.push_back(pool.Var(StrFormat("v%d", i), VarOrigin::kUnknown));
     }
     std::vector<const Expr*> cs;
     for (int i = 0; i < 4; ++i) {
@@ -325,7 +326,7 @@ TEST_F(SolverTest, IncrementalAgreesWithMonolithicOnRandomSuites) {
     SolverContext ctx;
     std::vector<const Expr*> vars;
     for (int i = 0; i < 4; ++i) {
-      vars.push_back(pool.Var("v" + std::to_string(i), VarOrigin::kUnknown));
+      vars.push_back(pool.Var(StrFormat("v%d", i), VarOrigin::kUnknown));
     }
     // Box every variable into a small finite interval up front so the whole
     // suite stays inside the solver's complete fragment (interval widths

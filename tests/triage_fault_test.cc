@@ -72,6 +72,12 @@ TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
   EXPECT_EQ(plan.Parse("site@-1").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(plan.Parse("site@x").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(plan.Parse("=3").code(), StatusCode::kInvalidArgument);
+  // Out-of-range numbers are rejected, not wrapped: a task past INT_MAX
+  // used to truncate to task 1, and a negative count used to become
+  // nth = 2^64 - 1. Surrounding whitespace is not part of a number.
+  EXPECT_EQ(plan.Parse("x@4294967297").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.Parse("x=-1").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.Parse("x= 5").code(), StatusCode::kInvalidArgument);
   // Unknown site names are legal (they never fire) and empty entries skip.
   EXPECT_TRUE(plan.Parse("no.such.site,,other=2").ok());
 }
@@ -345,16 +351,15 @@ TEST_F(DeadlineTest, EngineDeadlineIsDeterministic) {
 
 TEST_F(DeadlineTest, DeadlineTriggersDegradedRetryThenQuarantine) {
   // Shallow profile so the calibration runs are cheap: the full profile
-  // explores to depth 4, the degraded retry (max_units halved, portfolio
-  // off, budget halved — mirrors TriageService's DegradedProfile) to 2.
+  // explores to depth 4, the degraded retry (max_units halved, clause
+  // learning off — mirrors TriageService's DegradedProfile) to 2.
   ResOptions full_options = res_options_;
   full_options.max_units = 4;
   const uint64_t u_full =
       ResEngine(module_, dump_, full_options).Run().stats.committed_units;
   ResOptions degraded_options = full_options;
   degraded_options.max_units = full_options.max_units / 2;
-  degraded_options.solver_portfolio = false;
-  degraded_options.solver_budget_steps = full_options.solver_budget_steps / 2;
+  degraded_options.learn_clauses = false;
   const uint64_t u_deg =
       ResEngine(module_, dump_, degraded_options).Run().stats.committed_units;
   ASSERT_GT(u_deg, 1u);
