@@ -404,8 +404,8 @@ class ClauseStore {
 // Memoized cold-check cache, extracted from the Solver so a ResRuntime can
 // share one instance across every engine it hosts. Soundness of sharing
 // rests on the pure-function contract (see Solver below): a cold check's
-// outcome is a function of (constraint set, solver fingerprint, decision
-// mode) only, so whichever thread — in whichever engine — computes a set
+// outcome is a function of (constraint set, solver fingerprint, with_core)
+// only, so whichever thread — in whichever engine — computes a set
 // first stores exactly the verdict and model any other would have.
 //
 // Cross-task isolation: every entry is tagged with the owning engine's

@@ -151,7 +151,7 @@ struct PinCase {
 // Verdict, model (by variable name), sorted core, and the per-strategy
 // step/win counters of one check, in a stable rendering.
 std::string PinOf(const ExprPool& pool, const SolveOutcome& out,
-                  const SolverStats& stats, bool with_core = true) {
+                  const SolverStats& stats) {
   std::string pin(SatResultName(out.result));
   std::vector<std::pair<std::string, int64_t>> model;
   for (const auto& [var, value] : out.model) {
@@ -163,15 +163,13 @@ std::string PinOf(const ExprPool& pool, const SolveOutcome& out,
     pin += StrFormat(" %s=%lld", name.c_str(), static_cast<long long>(value));
   }
   pin += " }";
-  if (with_core) {
-    pin += " core={";
-    for (const Expr* c : out.core) {
-      pin += " ";
-      pin += ExprToString(pool, c);
-      pin += ";";
-    }
-    pin += " }";
+  pin += " core={";
+  for (const Expr* c : out.core) {
+    pin += " ";
+    pin += ExprToString(pool, c);
+    pin += ";";
   }
+  pin += " }";
   pin += StrFormat(" steps=%llu/%llu/%llu wins=%llu/%llu/%llu",
                    static_cast<unsigned long long>(stats.strategy_steps[0]),
                    static_cast<unsigned long long>(stats.strategy_steps[1]),
