@@ -99,12 +99,12 @@ std::string_view StopReasonName(StopReason r) {
 // wraps the hypothesis: children are expanded from the hypothesis alone,
 // and each child's gate later forks its parent's post-gate context.
 //
-// Forking copies O(delta) plus small bounded aggregates, never the
-// accumulated bulk: the snapshot is COW, the suffix spine (SuffixChainNode)
-// and the constraint vector/set are structurally shared persistent
-// containers, and the root-cause context is shared chains plus aggregates
-// bounded by the trap operand's live def-use frontier and the distinct
-// mutex/address population (not by suffix depth).
+// Forking a hypothesis copies O(delta) plus small bounded aggregates, never
+// the accumulated bulk: the snapshot is COW, the suffix spine
+// (SuffixChainNode) and the constraint vector/set are structurally shared
+// persistent containers, and the root-cause context is shared chains plus
+// aggregates bounded by the trap operand's live def-use frontier and the
+// distinct mutex/address population (not by suffix depth).
 struct ResEngine::Hypothesis {
   SymSnapshot state;                       // machine state at suffix start
   // Accumulated path/match condition (append-only, structure-shared).
@@ -141,6 +141,12 @@ struct ResEngine::TaskCtx {
 
 // One entry of the DFS stack: a hypothesis, its namespace, the products of
 // its solver gate, and its learned-clause screen bookkeeping.
+//
+// The gate's fork of the parent's SolverContext copies the bindings,
+// interval and residual containers (entries are pointers, but the
+// containers grow with the number of distinct facts on the path) and
+// shares the rest; the witness model is an immutable ModelRef, so a child
+// that inherits or reuses its parent's witness holds the same pointer.
 struct ResEngine::Node {
   Hypothesis h;
   uint64_t ns = 0;
@@ -149,7 +155,7 @@ struct ResEngine::Node {
   // released so ancestors free progressively.
   std::shared_ptr<const Node> parent;
   SolverContext ctx;  // post-gate incremental context
-  Assignment model;
+  ModelRef model;     // witness, shared with the parent when inherited
   bool verified = false;
   size_t screen_base = 0;          // parent's constraint count at push time
   uint64_t parent_screen_seq = 0;  // store prefix the parent's screen covered
@@ -476,7 +482,7 @@ bool ResEngine::GateNode(Node* n, std::vector<const Expr*>* core,
                          TaskCtx* tctx) {
   // Unknown verdicts keep the parent's witness, mirroring the sequential
   // engine where the forked hypothesis retained the inherited model.
-  n->model = n->parent->model;
+  n->model = n->parent->model;  // a pointer copy: models are immutable
   SolveOutcome outcome;
   if (options_.incremental_solving) {
     n->ctx = n->parent->ctx;
@@ -1383,11 +1389,11 @@ std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(const Node& n,
       ++tctx->stats.pruned_unsat;
       return std::nullopt;
     case SatResult::kSat:
-      return Finalize(h2, outcome.model, /*verified=*/true);
+      return Finalize(h2, *outcome.model, /*verified=*/true);
     case SatResult::kUnknown:
       ++tctx->stats.unknown_kept;
       // Inherited witness, as in GateNode.
-      return Finalize(h2, n.model, /*verified=*/false);
+      return Finalize(h2, *n.model, /*verified=*/false);
   }
   return std::nullopt;
 }
@@ -1495,7 +1501,7 @@ std::vector<RootCause> ResEngine::DetectNode(const Node& n,
   if (!options_.incremental_root_causes) {
     // The full-rescan oracle: materialize the suffix and run every detector
     // pass over it.
-    *suffix = Finalize(n.h, n.model, n.verified);
+    *suffix = Finalize(n.h, *n.model, n.verified);
     return DetectRootCauses(module_, dump_, *suffix, pool_, dstats);
   }
   // Incremental path: detection consumes the context folded along the
@@ -1508,13 +1514,13 @@ std::vector<RootCause> ResEngine::DetectNode(const Node& n,
                                n.h.rc_ctx.lock_mutexes.end());
     mutexes.insert(rc_setup_.blocked_mutexes.begin(),
                    rc_setup_.blocked_mutexes.end());
-    owners = InitialLockOwners(n.h, n.model, mutexes);
+    owners = InitialLockOwners(n.h, *n.model, mutexes);
   }
   std::vector<RootCause> causes = DetectRootCausesIncremental(
       module_, dump_, rc_setup_, n.h.rc_ctx, n.h.units_backward.get(), owners,
       dstats);
   if (!causes.empty()) {
-    *suffix = Finalize(n.h, n.model, n.verified);
+    *suffix = Finalize(n.h, *n.model, n.verified);
   }
   return causes;
 }
@@ -1592,6 +1598,7 @@ ResResult ResEngine::Run() {
   root->ns = HashCombine(0x9e5u, 1);
   root->is_root = true;
   root->verified = true;  // the base case needs no gate
+  root->model = std::make_shared<const Assignment>();
   std::vector<std::shared_ptr<Node>> stack;
   stack.push_back(std::move(root));
 
@@ -1601,21 +1608,14 @@ ResResult ResEngine::Run() {
   int candidate_strength = 0;
   uint64_t refine_deadline = 0;
 
-  struct BestHyp {
-    Hypothesis h;
-    Assignment model;
-    bool verified = false;
-    bool has = false;
-  };
-  BestHyp best;
-  auto consider_best = [&best](const Node& n) {
-    bool better = !best.has || n.h.depth() > best.h.depth() ||
-                  (n.h.depth() == best.h.depth() && n.verified && !best.verified);
-    if (better) {
-      best.h = n.h;
-      best.model = n.model;
-      best.verified = n.verified;
-      best.has = true;
+  // The deepest hypothesis seen so far (verified breaking depth ties). A
+  // node is never modified once gated, so holding it stands in for a copy
+  // of its hypothesis and witness.
+  std::shared_ptr<const Node> best;
+  auto consider_best = [&best](const std::shared_ptr<Node>& n) {
+    if (best == nullptr || n->h.depth() > best->h.depth() ||
+        (n->h.depth() == best->h.depth() && n->verified && !best->verified)) {
+      best = n;
     }
   };
 
@@ -1710,7 +1710,7 @@ ResResult ResEngine::Run() {
     if (n->verified) {
       stats_.max_sat_depth = std::max(stats_.max_sat_depth, n->h.depth());
     }
-    consider_best(*n);
+    consider_best(n);
 
     if (n->verified && detecting) {
       SynthesizedSuffix suffix;
@@ -1801,13 +1801,13 @@ ResResult ResEngine::Run() {
   if (deadline_hit) {
     ++stats_.deadline_cancels;
   }
-  if (best.has && best.h.depth() > 0) {
+  if (best != nullptr && best->h.depth() > 0) {
     // A deadline stop keeps its reason even when the best suffix happens to
     // sit at max depth: the triage layer's degraded-retry logic keys off it.
-    if (!deadline_hit && best.h.depth() >= options_.max_units) {
+    if (!deadline_hit && best->h.depth() >= options_.max_units) {
       result.stop = StopReason::kMaxDepth;
     }
-    result.suffix = Finalize(best.h, best.model, best.verified);
+    result.suffix = Finalize(best->h, *best->model, best->verified);
     DetectorStats dstats;
     result.causes =
         DetectRootCauses(module_, dump_, *result.suffix, pool_, &dstats);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <memory>
 #include <optional>
 
 #include "src/support/hash.h"
@@ -135,10 +136,28 @@ int64_t SatSub(int64_t a, int64_t b) {
 }
 
 using Prov = SolverContext::Prov;
+using ProvRef = SolverContext::ProvRef;
 
-// Merges `from` into `into`, deduping by pointer; overflow poisons. A cap
-// of 0 means core derivation is disabled: poison immediately so provenance
-// never accumulates (BuildCore could not consume it anyway).
+// The one poisoned record ({}, overflow): every fact whose provenance is
+// untracked or outgrew the core cap shares it.
+const ProvRef& PoisonedProv() {
+  static const ProvRef kPoisoned = std::make_shared<const Prov>(Prov{{}, true});
+  return kPoisoned;
+}
+
+// Freezes a finished record for storage in a context. Stored records are
+// never mutated, so context forks share them by pointer.
+ProvRef StoreProv(Prov p) {
+  if (p.overflow) {
+    return PoisonedProv();
+  }
+  return std::make_shared<const Prov>(std::move(p));
+}
+
+// Merges `from` into the not-yet-stored record `into`, deduping by pointer;
+// overflow poisons. A cap of 0 means core derivation is disabled: poison
+// immediately so provenance never accumulates (BuildCore could not consume
+// it anyway).
 void MergeProv(Prov* into, const Prov& from, size_t cap) {
   if (cap == 0 || from.overflow) {
     into->overflow = true;
@@ -158,9 +177,10 @@ void MergeProv(Prov* into, const Prov& from, size_t cap) {
   }
 }
 
-void TightenFromComparison(std::map<VarId, Interval>* intervals,
-                           std::map<VarId, std::pair<Prov, Prov>>* interval_prov,
-                           const Expr* e, const Prov& prov, SolverStats* stats) {
+void TightenFromComparison(
+    std::map<VarId, Interval>* intervals,
+    std::map<VarId, std::pair<ProvRef, ProvRef>>* interval_prov, const Expr* e,
+    const ProvRef& prov, SolverStats* stats) {
   if (e->kind != ExprKind::kBinary) {
     return;
   }
@@ -444,9 +464,9 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
   // Provenance only pays for itself when someone can consume the cores —
   // the engine's clause store, fed by gate checks (EnumerateValues'
   // checks discard cores, so they skip the tracking too). With tracking
-  // off a cap of 0 poisons every Prov on first touch, so the bookkeeping
-  // below degenerates to copying empty vectors (verdicts are unaffected:
-  // provenance never decides anything).
+  // off every fact shares the one poisoned record, so the bookkeeping below
+  // degenerates to pointer copies (verdicts are unaffected: provenance
+  // never decides anything).
   const bool track_prov = with_core && options_.max_core_size > 0;
   const size_t prov_cap = track_prov ? options_.max_core_size : 0;
   ctx->absorbed_ = new_absorbed;
@@ -463,31 +483,52 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
     return;
   }
 
-  auto conflict = [&](const Prov& prov) {
+  // Provenance of an input constraint itself, built only where a fact
+  // derived from it is stored.
+  auto source_prov = [&](const Expr* c) -> ProvRef {
+    return track_prov ? std::make_shared<const Prov>(Prov{{c}, false})
+                      : PoisonedProv();
+  };
+  auto conflict = [&](const ProvRef& prov) {
     ctx->unsat_ = true;
-    std::vector<const SolverContext::Prov*> seeds{&prov};
+    std::vector<const SolverContext::Prov*> seeds{prov.get()};
     ctx->conflict_core_ = BuildCore(*ctx, seeds);
   };
-  auto record_binding = [&](VarId var, const Expr* value, const Prov& prov) {
+  auto record_binding = [&](VarId var, const Expr* value, const ProvRef& prov) {
     ctx->bindings_[var] = value;
     if (!track_prov) {
-      ctx->binding_prov_[var] = Prov{{}, true};  // poisoned: nothing tracked
+      ctx->binding_prov_.Set(var, PoisonedProv());
       return;
     }
     // Transitive store-time provenance: the creating constraint plus the
     // provenance of every binding already substituted into the stored
     // value. Late bindings (vars still free in `value`) are closed over at
     // core-build time instead.
-    Prov p = prov;
+    // With no bound dependency the binding shares the creating
+    // constraint's record.
+    std::optional<Prov> merged;
     std::unordered_set<VarId> deps;
     CollectVars(value, &deps);
     for (VarId d : deps) {
-      auto pit = ctx->binding_prov_.find(d);
-      if (pit != ctx->binding_prov_.end()) {
-        MergeProv(&p, pit->second, prov_cap);
+      if (const ProvRef* dp = ctx->binding_prov_.Find(d)) {
+        if (!merged.has_value()) {
+          merged = *prov;
+        }
+        MergeProv(&*merged, **dp, prov_cap);
       }
     }
-    ctx->binding_prov_[var] = std::move(p);
+    ctx->binding_prov_.Set(
+        var, merged.has_value() ? StoreProv(std::move(*merged)) : prov);
+  };
+  // Derived equality: follows from `prov`'s constraint plus the sources of
+  // the binding it substituted through.
+  auto derived_prov = [&](const ProvRef& prov, VarId var) -> ProvRef {
+    if (!track_prov) {
+      return PoisonedProv();
+    }
+    Prov merged = *prov;
+    MergeProv(&merged, **ctx->binding_prov_.Find(var), prov_cap);
+    return StoreProv(std::move(merged));
   };
 
   // Round 0 runs over the fresh suffix only: the cached residual is already
@@ -497,15 +538,14 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
   {
     ++stats->propagation_rounds;
     std::vector<const Expr*> next;
-    std::vector<Prov> next_prov;
+    std::vector<ProvRef> next_prov;
     next.reserve(pending.size());
     for (const Expr* c : pending) {
       ++stats->propagated_constraints;
-      Prov prov = track_prov ? Prov{{c}, false} : Prov{{}, true};
       const Expr* s = SubstituteFix(pool_, c, ctx->bindings_);
       if (s->is_const()) {
         if (s->value == 0) {
-          conflict(prov);
+          conflict(source_prov(c));
           return;
         }
         continue;  // satisfied; drop
@@ -516,22 +556,18 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
           if (it == ctx->bindings_.end()) {
             record_binding(solved->var,
                            SubstituteFix(pool_, solved->value, ctx->bindings_),
-                           prov);
+                           source_prov(c));
             ++stats->eq_bindings;
             new_binding = true;
             continue;
           }
-          // Derived equality: follows from this constraint plus the
-          // binding's sources.
-          Prov merged = prov;
-          MergeProv(&merged, ctx->binding_prov_[solved->var], prov_cap);
           next.push_back(pool_->Eq(it->second, solved->value));
-          next_prov.push_back(std::move(merged));
+          next_prov.push_back(derived_prov(source_prov(c), solved->var));
           continue;
         }
       }
       next.push_back(s);
-      next_prov.push_back(std::move(prov));
+      next_prov.push_back(source_prov(c));
     }
     ctx->residual_.insert(ctx->residual_.end(), next.begin(), next.end());
     ctx->residual_prov_.insert(ctx->residual_prov_.end(),
@@ -549,11 +585,11 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
     new_binding = false;
     bool any_rewrite = false;
     std::vector<const Expr*> next;
-    std::vector<Prov> next_prov;
+    std::vector<ProvRef> next_prov;
     next.reserve(ctx->residual_.size());
     for (size_t i = 0; i < ctx->residual_.size(); ++i) {
       const Expr* c = ctx->residual_[i];
-      const Prov& prov = ctx->residual_prov_[i];
+      const ProvRef& prov = ctx->residual_prov_[i];
       ++stats->propagated_constraints;
       const Expr* s = SubstituteFix(pool_, c, ctx->bindings_);
       if (s != c) {
@@ -577,10 +613,8 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
             new_binding = true;
             continue;
           }
-          Prov merged = prov;
-          MergeProv(&merged, ctx->binding_prov_[solved->var], prov_cap);
           next.push_back(pool_->Eq(it->second, solved->value));
-          next_prov.push_back(std::move(merged));
+          next_prov.push_back(derived_prov(prov, solved->var));
           continue;
         }
       }
@@ -629,6 +663,9 @@ std::vector<const Expr*> Solver::BuildCore(
     return true;
   };
   for (const SolverContext::Prov* p : seeds) {
+    if (p == nullptr) {
+      continue;  // a bound never set: no sources
+    }
     if (p->overflow) {
       return {};
     }
@@ -648,12 +685,11 @@ std::vector<const Expr*> Solver::BuildCore(
     if (bit == ctx.bindings_.end()) {
       continue;
     }
-    auto pit = ctx.binding_prov_.find(v);
-    if (pit != ctx.binding_prov_.end()) {
-      if (pit->second.overflow) {
+    if (const ProvRef* bp = ctx.binding_prov_.Find(v)) {
+      if ((*bp)->overflow) {
         return {};
       }
-      for (const Expr* c : pit->second.srcs) {
+      for (const Expr* c : (*bp)->srcs) {
         if (!add(c)) {
           return {};
         }
@@ -673,6 +709,7 @@ bool Solver::FinishSat(SolverContext* ctx, const ConstraintInput& constraints,
   // Complete the model: free vars from `free_assignment`, bound vars by
   // evaluating their binding expressions, then re-verify everything.
   Assignment model = std::move(free_assignment);
+  model.reserve(model.size() + ctx->bindings_.size());
   // Bindings may reference other vars; iterate to fixpoint (bounded).
   for (size_t round = 0; round < ctx->bindings_.size() + 1; ++round) {
     bool progress = false;
@@ -707,7 +744,9 @@ bool Solver::FinishSat(SolverContext* ctx, const ConstraintInput& constraints,
     return false;
   }
   out->result = SatResult::kSat;
-  out->model = std::move(model);
+  // The one allocation of this answer's model; everything downstream shares
+  // it.
+  out->model = std::make_shared<const Assignment>(std::move(model));
   ++stats->sat;
   return true;
 }
@@ -750,8 +789,8 @@ bool Solver::RunInterval(SolverContext* ctx, std::vector<VarId>* order,
       out->result = SatResult::kUnsat;
       auto pit = ctx->interval_prov_.find(v);
       if (pit != ctx->interval_prov_.end()) {
-        std::vector<const SolverContext::Prov*> seeds{&pit->second.first,
-                                                      &pit->second.second};
+        std::vector<const SolverContext::Prov*> seeds{pit->second.first.get(),
+                                                      pit->second.second.get()};
         out->core = BuildCore(*ctx, seeds);
       }
       return true;
@@ -829,14 +868,14 @@ bool Solver::RunEnumeration(SolverContext* ctx, const std::vector<VarId>& order,
       out->result = SatResult::kUnsat;
       std::vector<const SolverContext::Prov*> seeds;
       seeds.reserve(ctx->residual_prov_.size() + 2 * order.size());
-      for (const Prov& p : ctx->residual_prov_) {
-        seeds.push_back(&p);
+      for (const ProvRef& p : ctx->residual_prov_) {
+        seeds.push_back(p.get());
       }
       for (VarId v : order) {
         auto pit = ctx->interval_prov_.find(v);
         if (pit != ctx->interval_prov_.end()) {
-          seeds.push_back(&pit->second.first);
-          seeds.push_back(&pit->second.second);
+          seeds.push_back(pit->second.first.get());
+          seeds.push_back(pit->second.second.get());
         }
       }
       out->core = BuildCore(*ctx, seeds);
@@ -998,10 +1037,10 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
 
   // Fast path 1: the fresh suffix may already hold under the cached model
   // (every absorbed constraint was verified against it when it was cached).
-  if (ctx->has_model_) {
+  if (ctx->model_ != nullptr) {
     bool model_ok = true;
     for (const Expr* c : fresh) {
-      if (EvalExpr(c, ctx->model_) == 0) {
+      if (EvalExpr(c, *ctx->model_) == 0) {
         model_ok = false;
         break;
       }
@@ -1014,7 +1053,7 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
       // verdict; the conjunction is SAT by construction.
       ctx->unsat_ = false;
       out.result = SatResult::kSat;
-      out.model = ctx->model_;
+      out.model = ctx->model_;  // shared: the witness is unchanged
       ++stats->sat;
       return out;
     }
@@ -1079,12 +1118,11 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
       Propagate(ctx, canonical, total, with_core, stats);
       if (cached.result == SatResult::kSat) {
         ctx->model_ = cached.model;
-        ctx->has_model_ = true;
         ctx->unsat_ = false;
         ++stats->sat;
       } else {
         // Only definitive verdicts are stored, so this is kUnsat.
-        ctx->has_model_ = false;
+        ctx->model_.reset();
         ctx->unsat_ = true;
         ctx->conflict_core_ = cached.core;
         ++stats->unsat;
@@ -1108,9 +1146,8 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
     }
     if (o.result == SatResult::kSat) {
       ctx->model_ = o.model;
-      ctx->has_model_ = true;
     } else {
-      ctx->has_model_ = false;
+      ctx->model_.reset();
       if (o.result == SatResult::kUnsat) {
         ctx->unsat_ = true;
         ctx->conflict_core_ = o.core;
@@ -1191,7 +1228,7 @@ SolveOutcome Solver::CheckIncremental(SolverContext* ctx,
                                       SolverStats* stats) {
   SolverStats* st = stats != nullptr ? stats : &stats_;
   ++st->checks;
-  if (ctx->absorbed_ > 0 || ctx->has_model_ || ctx->unsat_) {
+  if (ctx->absorbed_ > 0 || ctx->model_ != nullptr || ctx->unsat_) {
     ++st->incremental_checks;
   }
   ConstraintInput input;
@@ -1204,7 +1241,7 @@ SolveOutcome Solver::CheckIncremental(
     SolverStats* stats) {
   SolverStats* st = stats != nullptr ? stats : &stats_;
   ++st->checks;
-  if (ctx->absorbed_ > 0 || ctx->has_model_ || ctx->unsat_) {
+  if (ctx->absorbed_ > 0 || ctx->model_ != nullptr || ctx->unsat_) {
     ++st->incremental_checks;
   }
   ConstraintInput input;
@@ -1240,7 +1277,7 @@ std::vector<int64_t> Solver::EnumerateValues(
     if (outcome.result != SatResult::kSat) {
       return values;  // incomplete
     }
-    int64_t v = EvalExpr(target, outcome.model);
+    int64_t v = EvalExpr(target, *outcome.model);
     if (values.size() >= limit) {
       return values;  // one more value exists than we may return
     }

@@ -48,6 +48,7 @@
 #include <initializer_list>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -71,9 +72,15 @@ inline constexpr size_t kNumStrategies = 3;
 
 std::string_view StrategyKindName(StrategyKind k);
 
+// A witness model, immutable once built and shared by reference: each SAT
+// answer allocates one, and everything downstream of the check (the
+// context's cached witness, check-cache entries, forked hypotheses) holds
+// the pointer, so a fork never copies a model.
+using ModelRef = std::shared_ptr<const Assignment>;
+
 struct SolveOutcome {
   SatResult result = SatResult::kUnknown;
-  Assignment model;  // meaningful iff result == kSat
+  ModelRef model;  // non-null iff result == kSat
   // For kUnsat only: a minimized conflict — a DetExprLess-sorted, deduped
   // subset of the *input* constraints whose conjunction is itself UNSAT.
   // Empty when no small core could be derived (soundness never depends on
@@ -189,27 +196,42 @@ uint64_t SolverFingerprint(uint64_t seed, const SolverOptions& o);
 // monotone (constraints are only ever appended), so a child context remains
 // valid for every extension of the parent's constraint vector.
 //
+// What a fork (the copy constructor) copies: the bindings map, the interval
+// maps, the residual vectors and the conflict core — containers of pointers
+// (interned expressions, provenance records) that grow with the distinct
+// facts on the path — plus the scalar key state. What it shares: the
+// witness model (ModelRef), every provenance record (ProvRef), and the
+// per-binding provenance map and absorbed-constraint set, which are
+// persistent (O(delta) per fork). Models and provenance records are
+// immutable once stored — a check replaces the pointer, never the pointee —
+// so a child's checks cannot be observed through its parent or siblings.
+//
 // Thread-safety: a SolverContext belongs to exactly one hypothesis and must
 // only be passed to one check at a time (it is mutable per-chain state).
 // Copy-forking a context that no thread is currently checking is safe from
-// any thread.
+// any thread, and so is sharing its model and provenance across threads.
 class SolverContext {
  public:
   SolverContext() = default;
 
   // Provenance of a derived fact: the input constraints it follows from.
   // Deduped, small; `overflow` poisons facts whose dependency set outgrew
-  // the core cap (no core will be derived through them).
+  // the core cap (no core will be derived through them). Stored only behind
+  // a ProvRef and never mutated afterwards: merging builds a new record.
   struct Prov {
     std::vector<const Expr*> srcs;
     bool overflow = false;
   };
+  using ProvRef = std::shared_ptr<const Prov>;
 
   // Prefix of the constraint vector already absorbed into bindings/residual.
   size_t absorbed() const { return absorbed_; }
   bool known_unsat() const { return unsat_; }
-  bool has_model() const { return has_model_; }
-  const Assignment& model() const { return model_; }
+  bool has_model() const { return model_ != nullptr; }
+  // The witness from the last SAT answer (null when the last check was not
+  // SAT). A model-reuse hit keeps the inherited pointer; a fresh SAT answer
+  // installs a newly built one.
+  const ModelRef& model() const { return model_; }
   // Order-insensitive cache key over the distinct absorbed constraints,
   // maintained incrementally (O(delta) per absorption, O(delta) per fork).
   uint64_t set_key() const { return set_key_; }
@@ -218,14 +240,18 @@ class SolverContext {
  private:
   friend class Solver;
 
+  // Copied on fork. Its iteration order drives FinishSat's completion
+  // fixpoint, so it stays a plain unordered_map (a persistent map could
+  // iterate differently and change the models built from it).
   std::unordered_map<VarId, const Expr*> bindings_;
   // Which source constraints produced each binding (aligned with bindings_).
-  std::unordered_map<VarId, Prov> binding_prov_;
+  // Only ever looked up by key, so it can be persistent: O(delta) per fork.
+  PersistentMap<VarId, ProvRef> binding_prov_;
   std::map<VarId, Interval> intervals_;
   // Which source constraints set each var's current lo / hi bound.
-  std::map<VarId, std::pair<Prov, Prov>> interval_prov_;
+  std::map<VarId, std::pair<ProvRef, ProvRef>> interval_prov_;
   std::vector<const Expr*> residual_;  // simplified, non-constant survivors
-  std::vector<Prov> residual_prov_;    // aligned with residual_
+  std::vector<ProvRef> residual_prov_;  // aligned with residual_
   size_t absorbed_ = 0;
   // Order-insensitive content hash (XOR of det_hash) of the absorbed
   // multiset; seeds the local-search RNG so every check's randomness is a
@@ -237,8 +263,7 @@ class SolverContext {
   uint64_t set_key_ = 0;
   size_t distinct_ = 0;
   PersistentSet<const Expr*> absorbed_set_;
-  Assignment model_;     // witness from the last SAT answer
-  bool has_model_ = false;
+  ModelRef model_;       // witness from the last SAT answer, if any
   bool unsat_ = false;   // a previous check proved the prefix UNSAT
   // The minimized conflict behind unsat_, when one was derivable.
   std::vector<const Expr*> conflict_core_;

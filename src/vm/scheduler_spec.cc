@@ -1,6 +1,7 @@
 #include "src/vm/scheduler_spec.h"
 
 #include <charconv>
+#include <limits>
 
 #include "src/support/string_util.h"
 
@@ -27,6 +28,24 @@ bool KnobApplies(std::string_view policy, std::string_view knob) {
   return false;
 }
 
+// Accepted range of each numeric knob, checked before the value is narrowed
+// into its SchedulerSpec field. PCT's depth is a bug depth (a handful in
+// practice); capping it bounds PctScheduler's change-point table at
+// kMaxPctDepth - 1 entries.
+constexpr uint64_t kMaxPctDepth = 1024;
+struct KnobRange {
+  std::string_view knob;
+  uint64_t lo;
+  uint64_t hi;
+};
+constexpr uint64_t kU32Max = std::numeric_limits<uint32_t>::max();
+constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+constexpr KnobRange kKnobRanges[] = {
+    KnobRange{"seed", 0, kU64Max},       KnobRange{"quantum", 0, kU32Max},
+    KnobRange{"permille", 0, 1000},      KnobRange{"depth", 1, kMaxPctDepth},
+    KnobRange{"steps", 1, kU64Max},      KnobRange{"max_delay", 1, kU32Max},
+};
+
 Result<uint64_t> ParseKnobValue(std::string_view policy, std::string_view knob,
                                 std::string_view value) {
   uint64_t parsed = 0;
@@ -40,6 +59,18 @@ Result<uint64_t> ParseKnobValue(std::string_view policy, std::string_view knob,
         static_cast<int>(knob.size()), knob.data(),
         static_cast<int>(value.size()), value.data(),
         static_cast<int>(policy.size()), policy.data()));
+  }
+  for (const KnobRange& r : kKnobRanges) {
+    if (r.knob == knob && (parsed < r.lo || parsed > r.hi)) {
+      return InvalidArgument(StrFormat(
+          "scheduler spec: knob '%.*s=%.*s' of policy '%.*s' is outside "
+          "[%llu, %llu]",
+          static_cast<int>(knob.size()), knob.data(),
+          static_cast<int>(value.size()), value.data(),
+          static_cast<int>(policy.size()), policy.data(),
+          static_cast<unsigned long long>(r.lo),
+          static_cast<unsigned long long>(r.hi)));
+    }
   }
   return parsed;
 }
@@ -139,6 +170,7 @@ Result<SchedulerSpec> ParseSchedulerSpec(std::string_view text) {
           spec.policy.c_str(), static_cast<int>(knob.size()), knob.data(),
           static_cast<int>(info->knobs.size()), info->knobs.data()));
     }
+    // In range (kKnobRanges), so the narrowing casts below are exact.
     RES_ASSIGN_OR_RETURN(uint64_t parsed,
                          ParseKnobValue(spec.policy, knob, value));
     if (knob == "seed") {
@@ -146,28 +178,23 @@ Result<SchedulerSpec> ParseSchedulerSpec(std::string_view text) {
     } else if (knob == "quantum") {
       spec.quantum = static_cast<uint32_t>(parsed);
     } else if (knob == "permille") {
-      if (parsed > 1000) {
-        return InvalidArgument(StrFormat(
-            "scheduler spec: permille=%llu exceeds 1000",
-            static_cast<unsigned long long>(parsed)));
-      }
       spec.permille = static_cast<uint32_t>(parsed);
     } else if (knob == "depth") {
-      if (parsed == 0) {
-        return InvalidArgument("scheduler spec: pct depth must be >= 1");
-      }
       spec.depth = static_cast<uint32_t>(parsed);
     } else if (knob == "steps") {
-      if (parsed == 0) {
-        return InvalidArgument("scheduler spec: pct steps must be >= 1");
-      }
       spec.steps = parsed;
     } else if (knob == "max_delay") {
-      if (parsed == 0) {
-        return InvalidArgument("scheduler spec: delay max_delay must be >= 1");
-      }
       spec.max_delay = static_cast<uint32_t>(parsed);
     }
+  }
+  // Checked once every knob is read (depth and steps come in either order):
+  // the depth-1 change points are sampled from the first `steps` decisions.
+  if (spec.policy == "pct" && spec.depth - 1 > spec.steps) {
+    return InvalidArgument(StrFormat(
+        "scheduler spec: pct depth=%u needs %u change points but steps=%llu "
+        "offers fewer decisions",
+        spec.depth, spec.depth - 1,
+        static_cast<unsigned long long>(spec.steps)));
   }
   return spec;
 }

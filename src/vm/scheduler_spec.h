@@ -8,8 +8,9 @@
 // Grammar:  policy[:knob=value[,knob=value]...]   (docs/SCENARIOS.md)
 //
 // Every knob is optional (defaults below); unknown policies, knobs that do
-// not apply to the policy, and malformed values are InvalidArgument — never
-// a crash. MakeScheduler(spec) is a deterministic function of the spec:
+// not apply to the policy, malformed values, values outside the knob's
+// range (checked before narrowing, so nothing wraps) and a pct depth whose
+// change points outnumber its steps are InvalidArgument — never a crash. MakeScheduler(spec) is a deterministic function of the spec:
 // the same (spec, seed) always reproduces the same interleaving, which is
 // what lets the scenario sweep driver (src/scenario/) treat each
 // policy x seed grid point as a reproducible workload variant.

@@ -59,7 +59,7 @@ TEST_F(SolverStrategyTest, EnumerationPicksTheFirstOdometerPoint) {
   SolverStats stats;
   SolveOutcome out = Run(constraints, &stats);
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model.at(x->var), 2);
+  EXPECT_EQ(out.model->at(x->var), 2);
   EXPECT_EQ(
       stats.strategy_wins[static_cast<size_t>(StrategyKind::kEnumeration)],
       1u);
@@ -126,7 +126,7 @@ TEST_F(SolverStrategyTest, SearchWinsWhenEnumerationCannotApply) {
   SolverStats stats;
   SolveOutcome out = Run(constraints, &stats);
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ((out.model.at(x->var) & 3), 3);
+  EXPECT_EQ((out.model->at(x->var) & 3), 3);
   EXPECT_EQ(stats.strategy_wins[static_cast<size_t>(StrategyKind::kSearch)],
             1u);
   EXPECT_GT(stats.strategy_steps[static_cast<size_t>(StrategyKind::kSearch)],
@@ -154,8 +154,10 @@ std::string PinOf(const ExprPool& pool, const SolveOutcome& out,
                   const SolverStats& stats) {
   std::string pin(SatResultName(out.result));
   std::vector<std::pair<std::string, int64_t>> model;
-  for (const auto& [var, value] : out.model) {
-    model.emplace_back(pool.var_info(var).name, value);
+  if (out.model != nullptr) {
+    for (const auto& [var, value] : *out.model) {
+      model.emplace_back(pool.var_info(var).name, value);
+    }
   }
   std::sort(model.begin(), model.end());
   pin += " model={";

@@ -166,7 +166,13 @@ TEST(SchedulerSpecTest, ErrorsAreStatusNotCrash) {
        {"", "nosuch", "nosuch:seed=1", "rr:seed=1", "rr:quantum",
         "rr:quantum=abc", "rr:quantum=", "random:permille=1001",
         "pct:depth=0", "pct:steps=0", "delay:max_delay=0",
-        "rr:quantum=1,quantum"}) {
+        "rr:quantum=1,quantum",
+        // Out of range for the knob's field: each would wrap or, built into
+        // a scheduler, allocate billions of change points. Parse-only: no
+        // scheduler is ever constructed from these.
+        "pct:depth=4294967296", "pct:depth=4294967295",
+        "pct:depth=5,steps=3", "rr:quantum=4294967296",
+        "delay:max_delay=4294967296"}) {
     auto spec = ParseSchedulerSpec(text);
     EXPECT_FALSE(spec.ok()) << text;
     EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;

@@ -169,7 +169,7 @@ TEST_F(SolverTest, EqualityPropagation) {
   const Expr* x = pool_.Var("x", VarOrigin::kUnknown);
   auto out = solver_.Check({pool_.Eq(x, pool_.Const(7))});
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model[x->var], 7);
+  EXPECT_EQ(out.model->at(x->var), 7);
 }
 
 TEST_F(SolverTest, ConflictingEqualitiesUnsat) {
@@ -188,7 +188,7 @@ TEST_F(SolverTest, BindingChainsResolve) {
                             pool_.Eq(z, pool_.Const(3)),
                             pool_.Ne(pool_.Ne(x, pool_.Const(0)), pool_.Const(0))});
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model[x->var], 3);
+  EXPECT_EQ(out.model->at(x->var), 3);
 }
 
 TEST_F(SolverTest, LinearInversion) {
@@ -196,17 +196,17 @@ TEST_F(SolverTest, LinearInversion) {
   // x + 5 == 12
   auto out = solver_.Check({pool_.Eq(pool_.Add(x, pool_.Const(5)), pool_.Const(12))});
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model[x->var], 7);
+  EXPECT_EQ(out.model->at(x->var), 7);
   // 20 - x == 12
   auto out2 = solver_.Check(
       {pool_.Eq(pool_.Binary(BinOp::kSub, pool_.Const(20), x), pool_.Const(12))});
   ASSERT_EQ(out2.result, SatResult::kSat);
-  EXPECT_EQ(out2.model[x->var], 8);
+  EXPECT_EQ(out2.model->at(x->var), 8);
   // x ^ 0xff == 0xf0
   auto out3 = solver_.Check({pool_.Eq(pool_.Binary(BinOp::kXor, x, pool_.Const(0xff)),
                                       pool_.Const(0xf0))});
   ASSERT_EQ(out3.result, SatResult::kSat);
-  EXPECT_EQ(out3.model[x->var], 0x0f);
+  EXPECT_EQ(out3.model->at(x->var), 0x0f);
 }
 
 TEST_F(SolverTest, IntervalUnsat) {
@@ -225,7 +225,7 @@ TEST_F(SolverTest, BoundedEnumeration) {
                             pool_.Eq(pool_.Binary(BinOp::kMul, x, x),
                                      pool_.Const(169))});
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model[x->var], 13);
+  EXPECT_EQ(out.model->at(x->var), 13);
 }
 
 TEST_F(SolverTest, BoundedEnumerationProvesUnsat) {
@@ -283,7 +283,7 @@ TEST_F(SolverTest, SatModelsAreAlwaysVerified) {
     auto out = solver.Check(cs);
     if (out.result == SatResult::kSat) {
       for (const Expr* c : cs) {
-        EXPECT_NE(EvalExpr(c, out.model), 0) << ExprToString(pool, c);
+        EXPECT_NE(EvalExpr(c, *out.model), 0) << ExprToString(pool, c);
       }
     }
   }
@@ -370,7 +370,7 @@ TEST_F(SolverTest, IncrementalAgreesWithMonolithicOnRandomSuites) {
       ASSERT_NE(inc.result, SatResult::kUnknown);
       if (inc.result == SatResult::kSat) {
         for (const Expr* c : suite) {
-          EXPECT_NE(EvalExpr(c, inc.model), 0) << ExprToString(pool, c);
+          EXPECT_NE(EvalExpr(c, *inc.model), 0) << ExprToString(pool, c);
         }
       } else {
         prefix_unsat = true;
@@ -451,11 +451,128 @@ TEST_F(SolverTest, IncrementalContextForkMatchesIndependentChecks) {
   SolveOutcome l = solver_.CheckIncremental(&left, left_cs);
   SolveOutcome r = solver_.CheckIncremental(&right, right_cs);
   ASSERT_EQ(l.result, SatResult::kSat);
-  EXPECT_EQ(EvalExpr(pool_.Eq(x, pool_.Const(7)), l.model), 1);
+  EXPECT_EQ(EvalExpr(pool_.Eq(x, pool_.Const(7)), *l.model), 1);
   EXPECT_EQ(r.result, SatResult::kUnsat);
   // The left fork must be unaffected by the right fork's contradiction.
   left_cs.push_back(pool_.Binary(BinOp::kLeS, pool_.Const(0), x));
   EXPECT_EQ(solver_.CheckIncremental(&left, left_cs).result, SatResult::kSat);
+}
+
+// A witness sorted by variable name (empty for a null model).
+std::string RenderModel(const ExprPool& pool, const ModelRef& model) {
+  std::vector<std::pair<std::string, int64_t>> named;
+  if (model != nullptr) {
+    for (const auto& [var, value] : *model) {
+      named.emplace_back(pool.var_info(var).name, value);
+    }
+  }
+  std::sort(named.begin(), named.end());
+  std::string s;
+  for (const auto& [name, value] : named) {
+    s += StrFormat(" %s=%lld", name.c_str(), static_cast<long long>(value));
+  }
+  return s;
+}
+
+// Verdict, model and core of one check.
+std::string RenderOutcome(const ExprPool& pool, const SolveOutcome& out) {
+  std::string s(SatResultName(out.result));
+  s += RenderModel(pool, out.model);
+  s += " core:";
+  for (const Expr* c : out.core) {
+    s += " ";
+    s += ExprToString(pool, c);
+    s += ";";
+  }
+  return s;
+}
+
+// The context's observable state: verdict flag, absorbed prefix, cache key
+// and witness.
+std::string RenderContext(const ExprPool& pool, const SolverContext& ctx) {
+  std::string s = StrFormat("unsat=%d absorbed=%zu key=%llx distinct=%zu",
+                            ctx.known_unsat() ? 1 : 0, ctx.absorbed(),
+                            static_cast<unsigned long long>(ctx.set_key()),
+                            ctx.distinct_absorbed());
+  s += RenderModel(pool, ctx.model());
+  return s;
+}
+
+TEST_F(SolverTest, ForkedContextsShareModelsButNeverObserveEachOther) {
+  // Forks share the parent's witness model and provenance records by
+  // pointer. One child's new bindings, new model and UNSAT core must stay
+  // invisible to the parent and to its sibling, which must behave exactly
+  // like an unforked twin built by a separate solver. Both children's
+  // conflicts run through the parent's shared record for `x <= 10`.
+  const Expr* x = pool_.Var("x", VarOrigin::kUnknown);
+  const Expr* y = pool_.Var("y", VarOrigin::kUnknown);
+  const Expr* z = pool_.Var("z", VarOrigin::kUnknown);
+  const std::vector<const Expr*> prefix = {
+      pool_.Eq(y, pool_.Add(x, pool_.Const(1))),
+      pool_.Binary(BinOp::kLeS, pool_.Const(0), x),
+      pool_.Binary(BinOp::kLeS, x, pool_.Const(10))};
+  // The sibling's two extensions: one the parent's witness satisfies, then
+  // one that contradicts `x <= 10` through the binding of y.
+  std::vector<const Expr*> reuse_cs = prefix;
+  reuse_cs.push_back(pool_.Binary(BinOp::kLeS, x, pool_.Const(5)));
+  std::vector<const Expr*> conflict_cs = reuse_cs;
+  conflict_cs.push_back(pool_.Eq(y, pool_.Const(12)));
+
+  Solver twin_solver(&pool_, 99);
+  SolverContext twin_parent;
+  ASSERT_EQ(twin_solver.CheckIncremental(&twin_parent, prefix).result,
+            SatResult::kSat);
+  SolverContext twin_child = twin_parent;
+  const std::string twin_reuse = RenderOutcome(
+      pool_, twin_solver.CheckIncremental(&twin_child, reuse_cs));
+  const std::string twin_conflict = RenderOutcome(
+      pool_, twin_solver.CheckIncremental(&twin_child, conflict_cs));
+  ASSERT_NE(twin_conflict.find("unsat"), std::string::npos);
+
+  SolverContext parent;
+  ASSERT_EQ(solver_.CheckIncremental(&parent, prefix).result, SatResult::kSat);
+  const ModelRef parent_model = parent.model();
+  ASSERT_NE(parent_model, nullptr);
+  const std::string parent_before = RenderContext(pool_, parent);
+  SolverContext child = parent;
+  SolverContext sibling = parent;
+
+  // The child binds z (the parent's witness leaves z at 0, so a fresh
+  // model is built), then binds x past the parent's bound on it.
+  std::vector<const Expr*> child_cs = prefix;
+  child_cs.push_back(pool_.Eq(z, pool_.Add(y, pool_.Const(5))));
+  SolveOutcome fresh = solver_.CheckIncremental(&child, child_cs);
+  ASSERT_EQ(fresh.result, SatResult::kSat);
+  EXPECT_EQ(fresh.model->at(z->var), fresh.model->at(x->var) + 6);
+  EXPECT_NE(fresh.model, parent_model);
+  EXPECT_EQ(child.model(), fresh.model);
+  child_cs.push_back(pool_.Eq(x, pool_.Const(20)));
+  SolveOutcome refuted = solver_.CheckIncremental(&child, child_cs);
+  ASSERT_EQ(refuted.result, SatResult::kUnsat);
+  EXPECT_FALSE(refuted.core.empty());
+  EXPECT_FALSE(child.has_model());
+
+  // The parent is untouched, pointer and contents.
+  EXPECT_EQ(parent.model(), parent_model);
+  EXPECT_EQ(RenderContext(pool_, parent), parent_before);
+  EXPECT_EQ(RenderContext(pool_, parent), RenderContext(pool_, twin_parent));
+
+  // The sibling reuses the parent's witness (same pointer), then reaches
+  // the same conflict and core as the twin.
+  const uint64_t reuse_before = solver_.stats().model_reuse_hits;
+  SolveOutcome reused = solver_.CheckIncremental(&sibling, reuse_cs);
+  EXPECT_EQ(solver_.stats().model_reuse_hits, reuse_before + 1);
+  EXPECT_EQ(reused.model, parent_model);
+  EXPECT_EQ(sibling.model(), parent_model);
+  EXPECT_EQ(RenderOutcome(pool_, reused), twin_reuse);
+  EXPECT_EQ(RenderOutcome(pool_, solver_.CheckIncremental(&sibling, conflict_cs)),
+            twin_conflict);
+
+  // The parent's own provenance is intact: it derives the twin's core too.
+  SolverContext late = parent;
+  solver_.CheckIncremental(&late, reuse_cs);
+  EXPECT_EQ(RenderOutcome(pool_, solver_.CheckIncremental(&late, conflict_cs)),
+            twin_conflict);
 }
 
 TEST_F(SolverTest, EnumerateDerivedExpression) {
